@@ -7,6 +7,8 @@ corrections, whole-coup game values, and the exact solutions of the two
 2x2 games these induce, with a seeded Monte Carlo cross-check.
 """
 
+__version__ = "0.1.0"
+
 from .banker import (
     BADOUREAU,
     BANKER_TOTALS,
@@ -57,8 +59,6 @@ from .five import (
 )
 from .rational import Rational, as_rational, render_decimal, render_exact
 from .simulate import SimConfig, SimResult, bernoulli, draw_card_value, simulate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BADOUREAU",

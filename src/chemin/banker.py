@@ -13,6 +13,14 @@ expectation strictly exceeds the stand expectation.  Besides the two
 pure-rule tables, this module builds the posterior-weighted response to
 a mixed rule, the unweighted-average rule Dormoy used in 1872, and the
 historically flawed table variants of Dormoy and Badoureau.
+
+All of it rests on one exact kernel, built on first use.  Every coup is
+enumerated once with integer weights over 13**6, taken from
+``cards.DENOMINATIONS_PER_VALUE``, into Player-margin histograms per
+Banker cell and decision.  Each cell's per-rule sums, and with them both
+expectations, follow from those.  A table is then 88 integer comparisons,
+and ``outcome_histograms`` adds up a table's 88 cells for ``five`` and
+``coup``.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .cards import CARD_VALUES, mod10, sign, third_card_pdf, two_card_pdf
+from .cards import CARD_VALUES, DENOMINATIONS, DENOMINATIONS_PER_VALUE, HAND_TOTALS
 from .rational import as_rational
 
 #: Observation marker for "Player stood" (there is no third card to see).
@@ -116,45 +124,146 @@ class DecisionTable:
 
     def differing_cells(self, other: "DecisionTable") -> frozenset[Cell]:
         """Cells at which the two tables disagree."""
-        return frozenset(
-            (j, COLUMNS[c])
-            for j in BANKER_TOTALS
-            for c in range(len(COLUMNS))
-            if self.rows[j][c] != other.rows[j][c]
+        pairs = zip(self.rows, other.rows)
+        return _cells_where((a != b for a, b in zip(mine, theirs)) for mine, theirs in pairs)
+
+
+def _cells_where(grid: Iterable[Iterable[bool]]) -> frozenset[Cell]:
+    """Cells whose entry in an 8x11 grid, laid out like a table, is true."""
+    return frozenset((j, COLUMNS[c]) for j, row in enumerate(grid) for c, entry in enumerate(row) if entry)
+
+
+#: Player's margin, his final total minus Banker's, runs over -9..9.  A
+#: margin histogram holds one integer weight per margin, at margin + 9.
+MARGINS = range(-9, 10)
+Histogram = tuple[int, ...]
+#: Histograms of a set of coups split by what Player does on a two-card
+#: 5: not holding 5 (naturals included), standing on 5, drawing on 5.
+Parts = tuple[Histogram, Histogram, Histogram]
+
+
+class CellSums(NamedTuple):
+    """One cell under one Player rule: the joint weight of the coups that
+    reach it, and Banker's signed outcome summed over them if he stands
+    and if he draws.  Each expectation is its sum over ``weight``."""
+
+    weight: int
+    stand: int
+    draw: int
+
+    @property
+    def gain(self) -> int:
+        """Banker's joint gain from drawing instead of standing."""
+        return self.draw - self.stand
+
+
+def win_tie_loss(*histograms: Histogram) -> tuple[int, int, int]:
+    """Player's (win, tie, loss) weights, summed over the histograms."""
+    merged = [sum(weights) for weights in zip(*histograms)]
+    return sum(merged[10:]), merged[9], sum(merged[:9])
+
+
+@cache
+def _coup_weights() -> tuple[Parts, tuple[tuple[tuple[Parts, Parts], ...], ...]]:
+    """Every coup's margin and integer weight, enumerated once.
+
+    A card value weighs its number of denominations and a card that is
+    never dealt weighs all 13, so all coups together weigh 13**6.
+    Returns ``(settled, cells)``: ``settled`` holds the coups a natural
+    ends, and ``cells[j][c]`` the (stand, draw) pair of Parts for the
+    coups that reach Banker total ``j`` with observation ``COLUMNS[c]``.
+    """
+    card, deck = DENOMINATIONS_PER_VALUE, DENOMINATIONS
+    two = [sum(card[a] * card[(total - a) % 10] for a in CARD_VALUES) for total in HAND_TOTALS]
+
+    def parts(entries) -> Parts:
+        grid = [[0] * len(MARGINS) for _ in range(3)]
+        for part, margin, weight in entries:
+            grid[part][margin + 9] += weight
+        return tuple(map(tuple, grid))
+
+    settled = parts(
+        (0, player - banker, two[player] * two[banker] * deck * deck)
+        for player in HAND_TOTALS
+        for banker in HAND_TOTALS
+        if max(player, banker) >= 8
+    )
+    cells = []
+    for j in BANKER_TOTALS:
+        row = []
+        for observed in COLUMNS:
+            # Player hands reaching the cell: (part, final total, weight).
+            if observed is STOOD:
+                hands = [(1 if i == 5 else 0, i, two[i] * two[j] * deck)
+                         for i in PlayerRule.NON_TIREUR.stand_totals]
+            else:
+                hands = [(2 if i == 5 else 0, (i + observed) % 10, two[i] * two[j] * card[observed])
+                         for i in PlayerRule.TIREUR.draw_totals]
+            stand = parts((part, final - j, weight * deck) for part, final, weight in hands)
+            draw = parts(
+                (part, final - (j + last) % 10, weight * card[last])
+                for part, final, weight in hands
+                for last in CARD_VALUES
+            )
+            row.append((stand, draw))
+        cells.append(tuple(row))
+    return settled, tuple(cells)
+
+
+@cache
+def _cell_sums() -> tuple[tuple[tuple[CellSums, CellSums], ...], ...]:
+    """(non-tireur, tireur) sums per cell, indexed like a table's rows.
+
+    A non-tireur reaches a cell through parts 0 and 1 (stood on 5), a
+    tireur through parts 0 and 2 (drew on 5).  Banker scores -sign(margin).
+    """
+
+    def sums(stand: Parts, draw: Parts, rule: PlayerRule) -> CellSums:
+        (win, tie, loss), (draw_win, _, draw_loss) = (
+            win_tie_loss(parts[0], parts[1 + rule]) for parts in (stand, draw)
         )
+        return CellSums(win + tie + loss, loss - win, draw_loss - draw_win)
+
+    return tuple(
+        tuple(tuple(sums(stand, draw, rule) for rule in PlayerRule) for stand, draw in row)
+        for row in _coup_weights()[1]
+    )
 
 
-def _consistent_totals(assumed: PlayerRule, observed: Optional[int]) -> range:
-    """Player initial totals consistent with the rule and the observation."""
-    return assumed.stand_totals if observed is STOOD else assumed.draw_totals
+def outcome_histograms(table: DecisionTable) -> Parts:
+    """Margin histograms over 13**6 of every coup played against the table.
+
+    The standing and drawing parts each hold every coup where Player has
+    a two-card 5 and Banker no natural, so a Player who draws on 5 with
+    probability p weighs them by 1 - p and p.
+    """
+    settled, cells = _coup_weights()
+    picked = [settled]
+    for j, row in enumerate(table.rows):
+        picked.extend(cells[j][c][draws] for c, draws in enumerate(row))
+    return tuple(tuple(map(sum, zip(*part))) for part in zip(*picked))
 
 
-def banker_stand_ev(
-    assumed: PlayerRule, banker_total: int, observed: Optional[int]
-) -> Fraction:
+def _table(decide: Callable[[CellSums, CellSums], bool]) -> DecisionTable:
+    """The table that draws where ``decide(non-tireur sums, tireur sums)``."""
+    return DecisionTable(tuple(tuple(decide(*cell) for cell in row) for row in _cell_sums()))
+
+
+def _sums(assumed: PlayerRule, banker_total: int, observed: Optional[int]) -> CellSums:
+    _check_cell(banker_total, observed)
+    return _cell_sums()[banker_total][_column_index(observed)][assumed]
+
+
+def banker_stand_ev(assumed: PlayerRule, banker_total: int, observed: Optional[int]) -> Fraction:
     """Banker's conditional expected profit if he stands."""
-    _check_cell(banker_total, observed)
-    totals = _consistent_totals(assumed, observed)
-    acc = Fraction(0)
-    for initial in totals:
-        final = initial if observed is STOOD else mod10(initial + observed)
-        acc += sign(banker_total - final) * two_card_pdf(initial)
-    return acc / sum(two_card_pdf(initial) for initial in totals)
+    sums = _sums(assumed, banker_total, observed)
+    return Fraction(sums.stand, sums.weight)
 
 
-def banker_draw_ev(
-    assumed: PlayerRule, banker_total: int, observed: Optional[int]
-) -> Fraction:
+def banker_draw_ev(assumed: PlayerRule, banker_total: int, observed: Optional[int]) -> Fraction:
     """Banker's conditional expected profit if he draws a third card."""
-    _check_cell(banker_total, observed)
-    totals = _consistent_totals(assumed, observed)
-    acc = Fraction(0)
-    for initial in totals:
-        final = initial if observed is STOOD else mod10(initial + observed)
-        weight = two_card_pdf(initial)
-        for last in CARD_VALUES:
-            acc += sign(mod10(banker_total + last) - final) * weight * third_card_pdf(last)
-    return acc / sum(two_card_pdf(initial) for initial in totals)
+    sums = _sums(assumed, banker_total, observed)
+    return Fraction(sums.draw, sums.weight)
 
 
 @cache
@@ -165,30 +274,12 @@ def best_response_table(assumed: PlayerRule) -> DecisionTable:
     would be recorded as stand.  No tie occurs for either rule (see
     ``equal_ev_cells``).
     """
-    return DecisionTable(
-        tuple(
-            tuple(
-                banker_draw_ev(assumed, j, k) > banker_stand_ev(assumed, j, k)
-                for k in COLUMNS
-            )
-            for j in BANKER_TOTALS
-        )
-    )
+    return _table(lambda *by_rule: by_rule[assumed].gain > 0)
 
 
 def equal_ev_cells(assumed: PlayerRule) -> frozenset[Cell]:
     """Cells where standing and drawing have exactly equal expectation."""
-    return frozenset(
-        (j, k)
-        for j in BANKER_TOTALS
-        for k in COLUMNS
-        if banker_draw_ev(assumed, j, k) == banker_stand_ev(assumed, j, k)
-    )
-
-
-def _event_weight(assumed: PlayerRule, observed: Optional[int]) -> Fraction:
-    """Chance that the rule produces the observed event class (drew/stood)."""
-    return sum(two_card_pdf(i) for i in _consistent_totals(assumed, observed))
+    return _cells_where((cell[assumed].gain == 0 for cell in row) for row in _cell_sums())
 
 
 def mixed_best_response(draw_at_five: Fraction | int | str) -> DecisionTable:
@@ -198,31 +289,18 @@ def mixed_best_response(draw_at_five: Fraction | int | str) -> DecisionTable:
     weighted by the posterior probability that Player follows it: the
     prior (1-p, p) times the chance of the observed event class under the
     rule (a non-tireur draws on 89/137 of non-natural totals and stands on
-    48/137; a tireur on 105/137 and 32/137).  Probabilities 0 and 1
-    collapse to the pure best responses; only those two and 1/2 are
-    anchored in the historical literature, the rest is an interpolation.
-    The 1/2 table is Banker's mandatory rule in modern punto banco.
+    48/137; a tireur on 105/137 and 32/137).  In joint weights, with
+    p = n/q, a cell draws iff (q-n)*gain(non-tireur) + n*gain(tireur) > 0;
+    an exact 0 stands.  Probabilities 0 and 1 collapse to the pure best
+    responses; only those two and 1/2 are anchored in the historical
+    literature, the rest is an interpolation.  The 1/2 table is Banker's
+    mandatory rule in modern punto banco.
     """
     draw_probability = as_rational(draw_at_five)
     if not 0 <= draw_probability <= 1:
         raise ValueError(f"draw-at-five probability must be in [0, 1]: {draw_probability}")
-    rows = []
-    for j in BANKER_TOTALS:
-        row = []
-        for k in COLUMNS:
-            weight_non_tireur = (1 - draw_probability) * _event_weight(PlayerRule.NON_TIREUR, k)
-            weight_tireur = draw_probability * _event_weight(PlayerRule.TIREUR, k)
-            draw_side = (
-                weight_non_tireur * banker_draw_ev(PlayerRule.NON_TIREUR, j, k)
-                + weight_tireur * banker_draw_ev(PlayerRule.TIREUR, j, k)
-            )
-            stand_side = (
-                weight_non_tireur * banker_stand_ev(PlayerRule.NON_TIREUR, j, k)
-                + weight_tireur * banker_stand_ev(PlayerRule.TIREUR, j, k)
-            )
-            row.append(draw_side > stand_side)
-        rows.append(tuple(row))
-    return DecisionTable(tuple(rows))
+    n, q = draw_probability.numerator, draw_probability.denominator
+    return _table(lambda non_tireur, tireur: (q - n) * non_tireur.gain + n * tireur.gain > 0)
 
 
 def dormoy_unweighted_response() -> DecisionTable:
@@ -233,21 +311,9 @@ def dormoy_unweighted_response() -> DecisionTable:
     Methodologically naive, though it happens to yield the same table as
     ``mixed_best_response(1/2)``.
     """
-    rows = []
-    for j in BANKER_TOTALS:
-        row = []
-        for k in COLUMNS:
-            draw_side = (
-                banker_draw_ev(PlayerRule.NON_TIREUR, j, k)
-                + banker_draw_ev(PlayerRule.TIREUR, j, k)
-            )
-            stand_side = (
-                banker_stand_ev(PlayerRule.NON_TIREUR, j, k)
-                + banker_stand_ev(PlayerRule.TIREUR, j, k)
-            )
-            row.append(draw_side > stand_side)
-        rows.append(tuple(row))
-    return DecisionTable(tuple(rows))
+    return _table(
+        lambda non_tireur, tireur: non_tireur.gain * tireur.weight + tireur.gain * non_tireur.weight > 0
+    )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ from fractions import Fraction
 #: How many of the 13 denominations map to each card value 0-9.
 DENOMINATIONS_PER_VALUE = (4, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 
+#: Denominations in all: the weight of a card whose value does not matter.
+DENOMINATIONS = 13
+
 CARD_VALUES = range(10)
 HAND_TOTALS = range(10)
 
@@ -29,7 +32,7 @@ def third_card_pdf(value: int) -> Fraction:
     """Probability that a dealt card has the given value."""
     if value not in CARD_VALUES:
         raise ValueError(f"card value out of range 0-9: {value!r}")
-    return Fraction(DENOMINATIONS_PER_VALUE[value], 13)
+    return Fraction(DENOMINATIONS_PER_VALUE[value], DENOMINATIONS)
 
 
 def two_card_pdf(total: int) -> Fraction:

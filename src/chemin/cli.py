@@ -22,15 +22,16 @@ from .banker import (
     PlayerRule,
     banker_draw_ev,
     banker_stand_ev,
+    best_response_table,
     dormoy_unweighted_response,
     historical_table,
     mixed_best_response,
 )
 from .coup import CoupPolicy, bar_matrix, coup_stats, five_matrix, solve_2x2
-from .five import FiveAction, bertrand_report, five_stats
+from .five import FiveAction, StatTriple, bertrand_report, five_stats
 from .rational import as_rational, render_decimal, render_exact
-from .reference import BADOUREAU_FRACTIONS, DORMOY_DECIMALS, EXACT_FIVE_FRACTIONS
-from . import report
+from .reference import BADOUREAU_FRACTIONS, DORMOY_DECIMALS
+from . import __version__, report
 from .simulate import SimConfig, SimResult, simulate as run_simulation
 
 RULE_BY_NAME = {"non-tireur": PlayerRule.NON_TIREUR, "tireur": PlayerRule.TIREUR}
@@ -38,11 +39,15 @@ ACTION_BY_NAME = {"stand": FiveAction.STAND, "draw": FiveAction.DRAW}
 
 SCENARIO_NAMES = {0: ("stand", "non-tireur"), 1: ("draw", "tireur")}
 
+#: Upper bounds on numeric options; larger values are usage errors.
+MAX_PRECISION = 1000
+MAX_COUPS = 10**8
+
 
 def output_options(command):
     command = click.option(
         "--precision",
-        type=click.IntRange(min=1),
+        type=click.IntRange(min=1, max=MAX_PRECISION),
         default=6,
         show_default=True,
         help="Digits in decimal renderings.",
@@ -97,7 +102,7 @@ def _banker_table(
 
 
 @click.group()
-@click.version_option(package_name="chemin")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact analytics for baccarat chemin de fer.
 
@@ -340,6 +345,12 @@ def compare(against: str, fmt: str, exact: bool, precision: int) -> None:
             click.echo(f"\n{note}")
 
 
+def _exact_five(key: tuple[int, int]) -> StatTriple:
+    """The exact statistics of one problem, recomputed on the correct table."""
+    action, assumed = key
+    return five_stats(FiveAction(action), best_response_table(PlayerRule(assumed)))
+
+
 def _compare_bertrand() -> tuple[list[str], list[list[str]], list[str]]:
     header = [
         "action", "assume", "table",
@@ -360,12 +371,12 @@ def _compare_bertrand() -> tuple[list[str], list[list[str]], list[str]]:
                 "yes" if scenario.within_tolerance else "no",
             ]
         )
-    correct = EXACT_FIVE_FRACTIONS[(1, 1)]
+    correct = _exact_five((1, 1))
     notes = [
         "The (draw, tireur) row matches only with Badoureau's erroneous table; "
         "the correct table gives "
-        f"W={render_decimal(correct[0], 6)} T={render_decimal(correct[1], 6)} "
-        f"E={render_decimal(correct[2], 6)}, nowhere near the 1888 figures.",
+        f"W={render_decimal(correct.win, 6)} T={render_decimal(correct.tie, 6)} "
+        f"E={render_decimal(correct.expectation, 6)}, nowhere near the 1888 figures.",
     ]
     return header, rows, notes
 
@@ -374,7 +385,8 @@ def _compare_badoureau() -> tuple[list[str], list[list[str]], list[str]]:
     header = ["action", "assume", "W", "T", "E", "W (1881)", "T (1881)", "E (1881)", "match"]
     rows = []
     for key in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        ours = EXACT_FIVE_FRACTIONS[key]
+        stats = _exact_five(key)
+        ours = (stats.win, stats.tie, stats.expectation)
         his = BADOUREAU_FRACTIONS[key]
         action, _ = SCENARIO_NAMES[key[0]]
         _, assume = SCENARIO_NAMES[key[1]]
@@ -398,7 +410,7 @@ def _compare_dormoy() -> tuple[list[str], list[list[str]], list[str]]:
     header = ["action", "assume", "E (1872)", "correct rounding", "E exact", "E decimal"]
     rows = []
     for key, (published, correct_rounding) in DORMOY_DECIMALS.items():
-        ours = EXACT_FIVE_FRACTIONS[key][2]
+        ours = _exact_five(key).expectation
         action, _ = SCENARIO_NAMES[key[0]]
         _, assume = SCENARIO_NAMES[key[1]]
         rows.append(
@@ -417,7 +429,7 @@ def _compare_dormoy() -> tuple[list[str], list[list[str]], list[str]]:
 
 
 @main.command()
-@click.option("--coups", type=click.IntRange(min=1), default=100_000, show_default=True)
+@click.option("--coups", type=click.IntRange(min=1, max=MAX_COUPS), default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--action",

@@ -5,18 +5,20 @@ framed the draw-at-five question, throws away most coups and yields a
 statistic of dubious operational meaning.  The reformulated question
 scores an arbitrary coup under (a) Player's action when he does hold 5
 and (b) the rule Banker assumes and best-responds to.  This module
-enumerates full coups exactly, including naturals, builds both the
-conditional and the whole-coup 2x2 payoff matrices, and solves 2x2
-zero-sum games in exact arithmetic.
+scores full coups exactly, naturals included, by weighing the three
+integer parts of ``banker.outcome_histograms`` with Player's draw-at-5
+probability.  It builds both the conditional and the whole-coup 2x2
+payoff matrices, and solves 2x2 zero-sum games in exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .banker import STOOD, DecisionTable, PlayerRule, best_response_table
-from .cards import CARD_VALUES, HAND_TOTALS, mod10, sign, third_card_pdf, two_card_pdf
+from .banker import DecisionTable, PlayerRule, best_response_table, outcome_histograms, win_tie_loss
+from .cards import DENOMINATIONS
 from .five import FiveAction, StatTriple, five_stats
 from .rational import as_rational
 
@@ -59,60 +61,18 @@ class CoupPolicy:
 def coup_stats(policy: CoupPolicy) -> StatTriple:
     """Exact W, T, E for a full coup under the policy.
 
-    Both two-card totals are enumerated; a natural (8-9) on either side
-    settles the coup on the two-card totals, otherwise Player acts,
-    Banker replies from his table given what he observed, and the final
-    totals are compared.  The expectation is accumulated through the
-    sign of the margin and cross-checked against the win/tie
-    probabilities when the triple is built.
+    The three parts of the table's outcome histograms are blended with
+    Player's draw-at-5 probability n/q: weight q on the coups where he
+    does not hold 5, q - n on standing and n on drawing.  The triple is
+    built over q * 13**6, so its construction check confirms that the
+    parts cover every coup exactly once.
     """
-    table = policy.banker_table
-    draw_probability = policy.draw_at_five
-    win = tie = expectation = Fraction(0)
-
-    def tally(margin: int, weight: Fraction) -> None:
-        nonlocal win, tie, expectation
-        if margin > 0:
-            win += weight
-        elif margin == 0:
-            tie += weight
-        expectation += sign(margin) * weight
-
-    def banker_reply(player_final: int, banker_two: int, observed, weight: Fraction) -> None:
-        if table.draws(banker_two, observed):
-            for last in CARD_VALUES:
-                tally(
-                    player_final - mod10(banker_two + last),
-                    weight * third_card_pdf(last),
-                )
-        else:
-            tally(player_final - banker_two, weight)
-
-    def player_draw(player_two: int, banker_two: int, weight: Fraction) -> None:
-        for third in CARD_VALUES:
-            banker_reply(
-                mod10(player_two + third),
-                banker_two,
-                third,
-                weight * third_card_pdf(third),
-            )
-
-    for player_two in HAND_TOTALS:
-        for banker_two in HAND_TOTALS:
-            weight = two_card_pdf(player_two) * two_card_pdf(banker_two)
-            if player_two >= 8 or banker_two >= 8:
-                tally(player_two - banker_two, weight)
-            elif player_two <= 4:
-                player_draw(player_two, banker_two, weight)
-            elif player_two == 5:
-                if draw_probability < 1:
-                    banker_reply(5, banker_two, STOOD, weight * (1 - draw_probability))
-                if draw_probability > 0:
-                    player_draw(5, banker_two, weight * draw_probability)
-            else:
-                banker_reply(player_two, banker_two, STOOD, weight)
-
-    return StatTriple(win=win, tie=tie, expectation=expectation)
+    n, q = policy.draw_at_five.numerator, policy.draw_at_five.denominator
+    rest, standing, drawing = map(win_tie_loss, outcome_histograms(policy.banker_table))
+    win, tie, loss = (
+        q * other + (q - n) * stood + n * drew for other, stood, drew in zip(rest, standing, drawing)
+    )
+    return StatTriple.from_weights(win, tie, loss, q * DENOMINATIONS**6)
 
 
 def five_matrix() -> Matrix2x2:
@@ -122,13 +82,7 @@ def five_matrix() -> Matrix2x2:
     Banker assumes (non-tireur, tireur); entries are Player's expected
     profit on coups where he holds 5 and Banker has no natural.
     """
-    return tuple(
-        tuple(
-            five_stats(action, best_response_table(assumed)).expectation
-            for assumed in PlayerRule
-        )
-        for action in FiveAction
-    )
+    return _matrix(lambda action, table: five_stats(action, table).expectation)
 
 
 def bar_matrix() -> Matrix2x2:
@@ -139,13 +93,13 @@ def bar_matrix() -> Matrix2x2:
     this one could be played repeatedly without Banker learning anything
     he is not already assumed to know, so its equilibrium is meaningful.
     """
+    return _matrix(lambda action, table: coup_stats(CoupPolicy.for_action(action, table)).expectation)
+
+
+def _matrix(entry: Callable[[FiveAction, DecisionTable], Fraction]) -> Matrix2x2:
+    """Rows: Player's action at 5; columns: Banker's best response to each rule."""
     return tuple(
-        tuple(
-            coup_stats(
-                CoupPolicy.for_action(action, best_response_table(assumed))
-            ).expectation
-            for assumed in PlayerRule
-        )
+        tuple(entry(action, best_response_table(assumed)) for assumed in PlayerRule)
         for action in FiveAction
     )
 

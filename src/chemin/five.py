@@ -8,7 +8,9 @@ the coup before any decision.
 
 Which table Banker plays is entirely the caller's choice, so the same
 functions evaluate the correct tables, the mixed-rule table, and the
-flawed historical variants.
+flawed historical variants.  Each statistic reads the standing-on-5 or
+drawing-on-5 part of ``banker.outcome_histograms``: integer weights per
+final margin, from one pass over the table's cells.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Callable
 
-from .banker import (
-    BADOUREAU,
-    BANKER_TOTALS,
-    CORRECT,
-    STOOD,
-    DecisionTable,
-    PlayerRule,
-    historical_table,
-)
-from .cards import CARD_VALUES, mod10, sign, third_card_pdf, tie_indicator, two_card_pdf, win_indicator
+from .banker import BADOUREAU, CORRECT, MARGINS, DecisionTable, PlayerRule, historical_table
+from .banker import outcome_histograms, win_tie_loss
 from .rational import as_rational, render_decimal
 from .reference import BERTRAND_DECIMALS
 
@@ -49,9 +43,9 @@ class StatTriple:
     """Exact (win, tie, expectation) for Player, per unit stake.
 
     The expectation must equal 2*win + tie - 1; construction fails
-    otherwise, which makes every producer cross-check its own sign-based
-    accumulation against the win/tie probabilities.  ``chances`` counts a
-    tie as half a win, the quantity Badoureau reported in 1881.
+    otherwise.  A producer that supplies (win - loss) / total therefore
+    has its outcome weights checked to add up to its total.  ``chances``
+    counts a tie as half a win, the quantity Badoureau reported in 1881.
     """
 
     win: Fraction
@@ -63,6 +57,12 @@ class StatTriple:
             raise ValueError("win/tie probabilities must be nonnegative and sum to at most 1")
         if self.expectation != 2 * self.win + self.tie - 1:
             raise ValueError("expectation inconsistent with win/tie probabilities")
+
+    @classmethod
+    def from_weights(cls, win: int, tie: int, loss: int, total: int) -> "StatTriple":
+        """The triple of integer outcome weights over ``total``; the
+        expectation is ``(win - loss) / total``."""
+        return cls(Fraction(win, total), Fraction(tie, total), Fraction(win - loss, total))
 
     @property
     def loss(self) -> Fraction:
@@ -85,37 +85,15 @@ def five_functional(
     tie indicator gives the respective probability; the sign function
     gives Player's expected profit.
     """
-    acc = Fraction(0)
-    if action == FiveAction.STAND:
-        for banker_two in BANKER_TOTALS:
-            weight = two_card_pdf(banker_two)
-            if table.draws(banker_two, STOOD):
-                for last in CARD_VALUES:
-                    margin = 5 - mod10(banker_two + last)
-                    acc += outcome_value(margin) * weight * third_card_pdf(last)
-            else:
-                acc += outcome_value(5 - banker_two) * weight
-    else:
-        for banker_two in BANKER_TOTALS:
-            for third in CARD_VALUES:
-                weight = two_card_pdf(banker_two) * third_card_pdf(third)
-                player_final = mod10(5 + third)
-                if table.draws(banker_two, third):
-                    for last in CARD_VALUES:
-                        margin = player_final - mod10(banker_two + last)
-                        acc += outcome_value(margin) * weight * third_card_pdf(last)
-                else:
-                    acc += outcome_value(player_final - banker_two) * weight
-    return acc / sum(two_card_pdf(total) for total in BANKER_TOTALS)
+    histogram = outcome_histograms(table)[1 + action]
+    total = sum(outcome_value(margin) * weight for margin, weight in zip(MARGINS, histogram) if weight)
+    return Fraction(total, sum(histogram))
 
 
 def five_stats(action: FiveAction, table: DecisionTable) -> StatTriple:
     """W, T, E for one draw-at-five scenario against the given table."""
-    return StatTriple(
-        win=five_functional(action, table, win_indicator),
-        tie=five_functional(action, table, tie_indicator),
-        expectation=five_functional(action, table, sign),
-    )
+    histogram = outcome_histograms(table)[1 + action]
+    return StatTriple.from_weights(*win_tie_loss(histogram), sum(histogram))
 
 
 def naive_average_ev(

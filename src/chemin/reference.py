@@ -36,15 +36,6 @@ BADOUREAU_FRACTIONS: dict[Scenario, Triple] = {
     (1, 1): (Fraction(10288, 23153), Fraction(2800, 23153), Fraction(223, 23153)),
 }
 
-#: The correct exact answers to the four problems, confirmed in this
-#: package by brute-force enumeration (see the test-suite oracles).
-EXACT_FIVE_FRACTIONS: dict[Scenario, Triple] = {
-    (0, 0): (Fraction(792, 1781), Fraction(153, 1781), Fraction(-44, 1781)),
-    (0, 1): (Fraction(872, 1781), Fraction(169, 1781), Fraction(132, 1781)),
-    (1, 0): (Fraction(10352, 23153), Fraction(2928, 23153), Fraction(479, 23153)),
-    (1, 1): (Fraction(10176, 23153), Fraction(2976, 23153), Fraction(175, 23153)),
-}
-
 #: Dormoy (1872), "Theorie mathematique des jeux de hasard", Section 79:
 #: expectations rounded to two or three decimals, paired with what a
 #: correct rounding would have shown.  He did not treat (stand, tireur).

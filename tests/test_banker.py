@@ -31,6 +31,14 @@ from tests.known_tables import GRID_VS_NON_TIREUR, GRID_VS_TIREUR
 NON_TIREUR, TIREUR = PlayerRule.NON_TIREUR, PlayerRule.TIREUR
 
 
+def posterior_weighted_grid(pi: Fraction) -> list[list[int]]:
+    """The oracle's response to a mix: prior (1-p, p) times each rule's
+    event weight out of 137 (drew: 89 and 105; stood: 48 and 32)."""
+    return oracles.averaged_response_grid(
+        ((1 - pi) * 89, pi * 105), ((1 - pi) * 48, pi * 32)
+    )
+
+
 class TestDecisionTable:
     def test_grid_round_trip(self):
         table = DecisionTable.from_grid(GRID_VS_NON_TIREUR)
@@ -157,6 +165,34 @@ class TestMixedBestResponse:
     @given(probabilities)
     def test_shape_for_arbitrary_mixtures(self, pi):
         assert_plausible_response_shape(mixed_best_response(pi))
+
+    @settings(max_examples=20, deadline=None)
+    @given(probabilities)
+    def test_matches_posterior_weighted_oracle(self, pi):
+        assert mixed_best_response(pi).to_grid() == posterior_weighted_grid(pi)
+
+    @pytest.mark.parametrize(
+        "pi, cell",
+        [
+            (Fraction(1, 16), (5, 4)),
+            (Fraction(71, 176), (3, 9)),
+            (Fraction(9, 11), (6, STOOD)),
+            (Fraction(107, 112), (4, 1)),
+        ],
+    )
+    def test_breakpoint_cell_ties_and_stands(self, pi, cell):
+        banker_total, observed = cell
+        drew, stood = ((1 - pi) * 89, pi * 105), ((1 - pi) * 48, pi * 32)
+        w0, w1 = stood if observed is STOOD else drew
+        (stand0, draw0), (stand1, draw1) = (
+            oracles.banker_evs(rule, banker_total, observed) for rule in (0, 1)
+        )
+        assert w0 * (draw0 - stand0) + w1 * (draw1 - stand1) == 0
+        table = mixed_best_response(pi)
+        assert table.to_grid() == posterior_weighted_grid(pi)
+        assert not table.draws(banker_total, observed)
+        above = mixed_best_response(pi + Fraction(1, 10**6))
+        assert table.differing_cells(above) == {cell}
 
     def test_matches_posterior_weighted_oracle_at_half(self):
         grid = oracles.averaged_response_grid(

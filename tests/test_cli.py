@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from chemin import PlayerRule, best_response_table, historical_table, VARIANTS
+from chemin import PlayerRule, StatTriple, best_response_table, historical_table, VARIANTS
+from chemin import cli
 from chemin.cli import main
 from chemin import report
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -145,6 +153,17 @@ class TestCompareCommand:
         matches = [row["match"] for row in obj["rows"]]
         assert matches == ["yes", "yes", "yes", "no"]
 
+    def test_audits_recompute_the_engine_values(self, runner, monkeypatch):
+        # "ours" comes from five_stats, so an engine that drifted would
+        # stop matching instead of quoting a stored answer.
+        drifted = StatTriple(Fraction(1, 2), Fraction(0), Fraction(0))
+        monkeypatch.setattr(cli, "five_stats", lambda action, table: drifted)
+        obj = json.loads(run_ok(runner, "compare", "--against", "badoureau", "--format", "structured"))
+        assert [row["match"] for row in obj["rows"]] == ["no"] * 4
+        dormoy = run_ok(runner, "compare", "--against", "dormoy", "--format", "csv")
+        assert {line.split(",")[4] for line in dormoy.splitlines()[1:]} == {"0"}
+        assert "E=0.000000, nowhere near" in run_ok(runner, "compare", "--against", "bertrand")
+
     def test_dormoy_rows(self, runner):
         output = run_ok(runner, "compare", "--against", "dormoy", "--format", "csv")
         lines = output.splitlines()
@@ -178,8 +197,34 @@ class TestArgumentErrors:
             ["solve", "--game", "teen-patti"],
             ["simulate", "--coups", "0"],
             ["coup", "--action", "mix", "--pi", "3/2"],
+            ["five", "--precision", "1001"],
         ],
     )
     def test_usage_errors_exit_2(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
+
+    def test_coups_above_bound_rejected_before_simulating(self, runner, monkeypatch):
+        def refuse(config):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        result = runner.invoke(main, ["simulate", "--coups", str(cli.MAX_COUPS + 1)])
+        assert result.exit_code == 2
+        assert "1<=x<=100000000" in result.output
+
+    def test_largest_precision_accepted(self, runner):
+        output = run_ok(runner, "five", "--precision", str(cli.MAX_PRECISION))
+        win = output.split()[0].removeprefix("W=")
+        assert len(win.split(".")[1]) == 1000
+
+
+def test_version_from_checkout():
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "chemin", "--version"],
+        capture_output=True, text=True, env=env, cwd=SRC.parent, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-1] == "0.1.0"

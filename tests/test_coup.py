@@ -5,9 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemin import (
+    COLUMNS,
     CoupPolicy,
     FiveAction,
     PlayerRule,
@@ -19,7 +21,7 @@ from chemin import (
     solve_2x2,
 )
 from tests import oracles
-from tests.conftest import probabilities
+from tests.conftest import decision_tables, probabilities
 
 NON_TIREUR, TIREUR = PlayerRule.NON_TIREUR, PlayerRule.TIREUR
 THIRTEEN_SIXTH = 13**6
@@ -77,6 +79,17 @@ class TestCoupStats:
                 expected = oracles.coup_stats(action == FiveAction.DRAW, table.to_grid())
                 stats = coup_stats(CoupPolicy.for_action(action, table))
                 assert (stats.win, stats.tie, stats.expectation) == expected
+
+    @settings(max_examples=6, deadline=None)
+    @given(decision_tables(), st.sampled_from(list(FiveAction)))
+    @example(  # stands on 0-2 and draws on 7 everywhere: no best response does
+        best_response_table(TIREUR).flip((j, k) for j in range(8) for k in COLUMNS),
+        FiveAction.STAND,
+    )
+    def test_matches_raw_tuple_oracle_on_arbitrary_tables(self, table, action):
+        expected = oracles.coup_stats(action == FiveAction.DRAW, table.to_grid())
+        stats = coup_stats(CoupPolicy.for_action(action, table))
+        assert (stats.win, stats.tie, stats.expectation) == expected
 
     def test_denominators_divide_13_to_the_sixth(self):
         for policy in (

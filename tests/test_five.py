@@ -114,6 +114,14 @@ class TestFiveFunctional:
 
     @settings(max_examples=20, deadline=None)
     @given(decision_tables())
+    def test_matches_enumeration_oracle_on_arbitrary_tables(self, table):
+        for action in FiveAction:
+            expected = oracles.five_stats(action == DRAW, table.to_grid())
+            stats = five_stats(action, table)
+            assert (stats.win, stats.tie, stats.expectation) == expected, action
+
+    @settings(max_examples=20, deadline=None)
+    @given(decision_tables())
     def test_probabilities_sum_to_one(self, table):
         for action in FiveAction:
             stats = five_stats(action, table)
