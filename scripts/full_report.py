@@ -48,9 +48,11 @@ def main() -> None:
     print(report.table_to_markdown(mixed_best_response(Fraction(1, 2))))
 
     heading("The four draw-at-five problems (Banker non-natural)")
+    pure_expectation = {}
     for action in FiveAction:
         for assumed in PlayerRule:
             stats = five_stats(action, best_response_table(assumed))
+            pure_expectation[action, assumed] = stats.expectation
             print(
                 f"Player {action.name.lower():5s} at 5, Banker assumes "
                 f"{assumed.name.lower().replace('_', '-'):10s}: "
@@ -78,15 +80,16 @@ def main() -> None:
     drawing = five_stats(FiveAction.DRAW, half).expectation
     print(f"standing vs the mixture-aware table: {standing} = {report.render_fraction(standing, exact=False)}")
     print(f"drawing  vs the mixture-aware table: {drawing} = {report.render_fraction(drawing, exact=False)}")
+    naive = {
+        action: naive_average_ev(*(pure_expectation[action, assumed] for assumed in PlayerRule))
+        for action in FiveAction
+    }
     print(
         "naive average of the standing expectations:",
-        naive_average_ev(Fraction(-44, 1781), Fraction(132, 1781)),
+        naive[FiveAction.STAND],
         "(note the sign flip vs the true", str(standing) + ")",
     )
-    print(
-        "naive average of the drawing expectations:",
-        naive_average_ev(Fraction(479, 23153), Fraction(175, 23153)),
-    )
+    print("naive average of the drawing expectations:", naive[FiveAction.DRAW])
 
     heading("Whole-coup statistics (naturals included)")
     for action in FiveAction:

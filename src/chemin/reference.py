@@ -44,12 +44,3 @@ DORMOY_DECIMALS: dict[Scenario, tuple[str, str]] = {
     (1, 0): ("0.012", "0.021"),
     (1, 1): ("0.02", "0.01"),
 }
-
-#: Whole-coup statistics (naturals included, nothing conditioned away)
-#: when Player always stands at 5 and Banker best-responds knowing it.
-#: The denominator is 13**6: one factor of 13 per card that can matter.
-EXACT_COUP_STAND_FRACTIONS: Triple = (
-    Fraction(2152648, 4826809),
-    Fraction(447337, 4826809),
-    Fraction(-74176, 4826809),
-)

@@ -7,7 +7,12 @@ stream is a fixed, documented function of the seed:
 
 * card value: take 4 bits, reject 13-15, map 10-12 to value 0
   (the three extra denominations worth zero);
-* Bernoulli(n/d): take ``d.bit_length()`` bits, reject >= d, compare < n.
+* Bernoulli(n/d): take ``d.bit_length()`` bits, reject >= d, compare < n;
+  n = 0 and n = d take no bits.
+
+``draw_card_value`` and ``bernoulli`` are that spec.  ``simulate`` inlines
+them in one loop that consumes exactly the same words, about twice as
+fast as calling them per card; a test pins the loop to the two functions.
 
 Runs are single-threaded by design; identical configurations produce
 bit-identical results on any platform.
@@ -20,6 +25,9 @@ import random
 from dataclasses import dataclass
 
 from .coup import CoupPolicy
+
+#: Card value of each accepted 4-bit word: 0-9 as is, 10-12 worth zero.
+_CARD_VALUES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 0)
 
 
 def draw_card_value(rng: random.Random) -> int:
@@ -108,36 +116,61 @@ class SimResult:
 
 
 def simulate(config: SimConfig) -> SimResult:
-    """Play ``config.coups`` independent coups and tally the outcomes."""
-    rng = random.Random(config.seed)
+    """Play ``config.coups`` independent coups and tally the outcomes.
+
+    Each inlined draw reads the words ``draw_card_value`` or ``bernoulli``
+    would read at that point of the stream.
+    """
+    bits = random.Random(config.seed).getrandbits
     rows = config.policy.banker_table.rows
     pi = config.policy.draw_at_five
-    wins = ties = losses = 0
+    numerator, denominator = pi.numerator, pi.denominator
+    width = denominator.bit_length()
+    mixed = 0 < numerator < denominator
+    draws_at_five = numerator == denominator
+    value = _CARD_VALUES
+    wins = ties = 0
 
     for _ in range(config.coups):
-        player_two = (draw_card_value(rng) + draw_card_value(rng)) % 10
-        banker_two = (draw_card_value(rng) + draw_card_value(rng)) % 10
-        if player_two >= 8 or banker_two >= 8:
-            player_final, banker_final = player_two, banker_two
-        else:
-            if player_two <= 4 or (
-                player_two == 5 and bernoulli(rng, pi.numerator, pi.denominator)
-            ):
-                third = draw_card_value(rng)
-                player_final = (player_two + third) % 10
-                banker_draws = rows[banker_two][third]
+        r = bits(4)
+        while r > 12:
+            r = bits(4)
+        s = bits(4)
+        while s > 12:
+            s = bits(4)
+        player = (value[r] + value[s]) % 10
+        r = bits(4)
+        while r > 12:
+            r = bits(4)
+        s = bits(4)
+        while s > 12:
+            s = bits(4)
+        banker = (value[r] + value[s]) % 10
+        if player < 8 and banker < 8:
+            if player == 5 and mixed:
+                r = bits(width)
+                while r >= denominator:
+                    r = bits(width)
+                player_draws = r < numerator
             else:
-                player_final = player_two
-                banker_draws = rows[banker_two][10]
+                player_draws = player < 5 or (player == 5 and draws_at_five)
+            if player_draws:
+                r = bits(4)
+                while r > 12:
+                    r = bits(4)
+                third = value[r]
+                player = (player + third) % 10
+                banker_draws = rows[banker][third]
+            else:
+                banker_draws = rows[banker][10]
             if banker_draws:
-                banker_final = (banker_two + draw_card_value(rng)) % 10
-            else:
-                banker_final = banker_two
-        if player_final > banker_final:
+                r = bits(4)
+                while r > 12:
+                    r = bits(4)
+                banker = (banker + value[r]) % 10
+        if player > banker:
             wins += 1
-        elif player_final == banker_final:
+        elif player == banker:
             ties += 1
-        else:
-            losses += 1
 
-    return SimResult(wins=wins, ties=ties, losses=losses)
+    return SimResult(wins=wins, ties=ties, losses=config.coups - wins - ties)

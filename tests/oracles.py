@@ -11,6 +11,7 @@ package: decision tables come in as plain 0/1 grids with column order
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -67,6 +68,22 @@ def best_response_grid(tireur: int) -> list[list[int]]:
     return grid
 
 
+def integer_pair(pair: tuple[Fraction, Fraction]) -> tuple[int, int]:
+    """Two rationals times one positive factor that makes both integers."""
+    (n0, d0), (n1, d1) = (Fraction(x).as_integer_ratio() for x in pair)
+    return n0 * d1, n1 * d0
+
+
+@functools.cache
+def draw_gains(banker_total: int, third_card: int | None) -> tuple[int, int]:
+    """Banker's draw-minus-stand expectation against (non-tireur, tireur),
+    as an ``integer_pair``."""
+    return integer_pair(tuple(
+        draw - stand
+        for stand, draw in (banker_evs(rule, banker_total, third_card) for rule in (0, 1))
+    ))
+
+
 def averaged_response_grid(
     drew_weights: tuple[Fraction, Fraction],
     stood_weights: tuple[Fraction, Fraction],
@@ -75,16 +92,17 @@ def averaged_response_grid(
 
     ``drew_weights`` / ``stood_weights`` are (non-tireur, tireur) weights
     applied to the conditional expectations in columns where Player drew
-    a card / stood.  Only ratios matter.
+    a card / stood.  Only ratios matter, so both pairs are scaled to
+    integers and each cell draws when ``w0 * gain0 + w1 * gain1 > 0``.
     """
+    drew, stood = integer_pair(drew_weights), integer_pair(stood_weights)
     grid = []
     for j in range(8):
         row = []
         for k in [*range(10), None]:
-            w0, w1 = stood_weights if k is None else drew_weights
-            stand0, draw0 = banker_evs(0, j, k)
-            stand1, draw1 = banker_evs(1, j, k)
-            row.append(int(w0 * draw0 + w1 * draw1 > w0 * stand0 + w1 * stand1))
+            w0, w1 = stood if k is None else drew
+            gain0, gain1 = draw_gains(j, k)
+            row.append(int(w0 * gain0 + w1 * gain1 > 0))
         grid.append(row)
     return grid
 

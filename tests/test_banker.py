@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemin import (
     BADOUREAU,
@@ -199,6 +201,47 @@ class TestMixedBestResponse:
             (Fraction(89), Fraction(105)), (Fraction(48), Fraction(32))
         )
         assert mixed_best_response(Fraction(1, 2)).to_grid() == grid
+
+
+class TestAveragedResponseOracle:
+    """The oracle's integer sign test against the plain Fraction formula."""
+
+    evs = staticmethod(functools.cache(oracles.banker_evs))
+
+    def fraction_grid(self, drew_weights, stood_weights) -> list[list[int]]:
+        grid = []
+        for total in range(8):
+            row = []
+            for observed in [*range(10), None]:
+                w0, w1 = stood_weights if observed is None else drew_weights
+                (stand0, draw0), (stand1, draw1) = (
+                    self.evs(rule, total, observed) for rule in (0, 1)
+                )
+                row.append(int(w0 * draw0 + w1 * draw1 > w0 * stand0 + w1 * stand1))
+            grid.append(row)
+        return grid
+
+    def check(self, pi: Fraction) -> None:
+        drew, stood = ((1 - pi) * 89, pi * 105), ((1 - pi) * 48, pi * 32)
+        assert oracles.averaged_response_grid(drew, stood) == self.fraction_grid(drew, stood)
+
+    @pytest.mark.parametrize(
+        "pi",
+        [Fraction(1, 16), Fraction(71, 176), Fraction(9, 11), Fraction(107, 112)],
+        ids=str,
+    )
+    def test_breakpoints_and_either_side(self, pi):
+        for offset in (-Fraction(1, 10**6), 0, Fraction(1, 10**6)):
+            self.check(pi + offset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    def test_arbitrary_mixtures(self, pi):
+        self.check(pi)
+
+    def test_unweighted_integer_and_zero_weights(self):
+        for drew, stood in (((1, 1), (1, 1)), ((89, 105), (48, 32)), ((0, 3), (Fraction(1, 3), 0))):
+            assert oracles.averaged_response_grid(drew, stood) == self.fraction_grid(drew, stood)
 
 
 class TestDormoyUnweightedResponse:

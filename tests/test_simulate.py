@@ -9,12 +9,14 @@ import pytest
 
 from chemin import (
     CoupPolicy,
+    DecisionTable,
     PlayerRule,
     SimConfig,
     SimResult,
     bernoulli,
     best_response_table,
     draw_card_value,
+    mixed_best_response,
     simulate,
     third_card_pdf,
     two_card_pdf,
@@ -22,6 +24,36 @@ from chemin import (
 
 #: chi-square 0.999 quantile at 9 degrees of freedom.
 CHI2_CRITICAL_9DF = 27.877
+
+
+def reference_simulate(config: SimConfig) -> SimResult:
+    """The playout written card by card on the two stream-spec functions."""
+    rng = random.Random(config.seed)
+    rows = config.policy.banker_table.rows
+    pi = config.policy.draw_at_five
+    wins = ties = losses = 0
+    for _ in range(config.coups):
+        player_two = (draw_card_value(rng) + draw_card_value(rng)) % 10
+        banker_two = (draw_card_value(rng) + draw_card_value(rng)) % 10
+        player_final, banker_final = player_two, banker_two
+        if player_two < 8 and banker_two < 8:
+            if player_two <= 4 or (
+                player_two == 5 and bernoulli(rng, pi.numerator, pi.denominator)
+            ):
+                third = draw_card_value(rng)
+                player_final = (player_two + third) % 10
+                banker_draws = rows[banker_two][third]
+            else:
+                banker_draws = rows[banker_two][10]
+            if banker_draws:
+                banker_final = (banker_two + draw_card_value(rng)) % 10
+        if player_final > banker_final:
+            wins += 1
+        elif player_final == banker_final:
+            ties += 1
+        else:
+            losses += 1
+    return SimResult(wins=wins, ties=ties, losses=losses)
 
 
 def standing_config(coups: int, seed: int) -> SimConfig:
@@ -47,6 +79,45 @@ class TestDeterminism:
         again = [draw_card_value(random.Random(99)) for _ in range(12)]
         assert stream == again
         assert all(0 <= value <= 9 for value in stream)
+
+
+class TestStreamSpec:
+    """``simulate`` inlines the card stream; it must read the same words."""
+
+    TABLES = {
+        "non-tireur": best_response_table(PlayerRule.NON_TIREUR),
+        "tireur": best_response_table(PlayerRule.TIREUR),
+        "mixed-1/3": mixed_best_response(Fraction(1, 3)),
+        # Not a best response to anything: draws on odd total + column.
+        "checkerboard": DecisionTable.from_grid(
+            [[(total + column) % 2 for column in range(11)] for total in range(8)]
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "pi",
+        # 2**40 + 1 takes 41 bits per Bernoulli word, more than one MT word.
+        [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(999, 1000), Fraction(3, 2**40 + 1)],
+        ids=str,
+    )
+    def test_matches_card_by_card_reference(self, pi):
+        for name, table in self.TABLES.items():
+            for seed in (0, 1, 2024):
+                config = SimConfig(coups=3_000, seed=seed, policy=CoupPolicy(pi, table))
+                assert simulate(config) == reference_simulate(config), (name, seed)
+
+    @pytest.mark.parametrize(
+        "seed, pi, table, tally",
+        [
+            (11, Fraction(0), best_response_table(PlayerRule.NON_TIREUR), (44447, 9432, 46121)),
+            (12, Fraction(1), best_response_table(PlayerRule.TIREUR), (44790, 8847, 46363)),
+            (13, Fraction(1, 3), mixed_best_response(Fraction(1, 3)), (44418, 9351, 46231)),
+        ],
+        ids=["stand-vs-non-tireur", "draw-vs-tireur", "mixed-1/3"],
+    )
+    def test_pinned_tallies(self, seed, pi, table, tally):
+        result = simulate(SimConfig(coups=100_000, seed=seed, policy=CoupPolicy(pi, table)))
+        assert (result.wins, result.ties, result.losses) == tally
 
 
 class TestSimResult:
