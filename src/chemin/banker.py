@@ -20,7 +20,8 @@ enumerated once with integer weights over 13**6, taken from
 Banker cell and decision.  Each cell's per-rule sums, and with them both
 expectations, follow from those.  A table is then 88 integer comparisons,
 and ``outcome_histograms`` adds up a table's 88 cells for ``five`` and
-``coup``.
+``coup``.  That sum is cached per distinct table, for at most 16 tables,
+so the statistics of one table share one sum.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .cards import CARD_VALUES, DENOMINATIONS, DENOMINATIONS_PER_VALUE, HAND_TOTALS
@@ -230,12 +231,14 @@ def _cell_sums() -> tuple[tuple[tuple[CellSums, CellSums], ...], ...]:
     )
 
 
+@lru_cache(maxsize=16)
 def outcome_histograms(table: DecisionTable) -> Parts:
     """Margin histograms over 13**6 of every coup played against the table.
 
     The standing and drawing parts each hold every coup where Player has
     a two-card 5 and Banker no natural, so a Player who draws on 5 with
-    probability p weighs them by 1 - p and p.
+    probability p weighs them by 1 - p and p.  Equal tables share one
+    cached result; the last 16 distinct tables are kept.
     """
     settled, cells = _coup_weights()
     picked = [settled]

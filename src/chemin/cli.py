@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 on argument errors, 1 on internal failures.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import click
@@ -42,6 +43,11 @@ SCENARIO_NAMES = {0: ("stand", "non-tireur"), 1: ("draw", "tireur")}
 #: Upper bounds on numeric options; larger values are usage errors.
 MAX_PRECISION = 1000
 MAX_COUPS = 10**8
+#: Digits a probability may take, its exponent's value counted in, so a
+#: short text like 1e-5000 cannot build a number too long to print.
+MAX_PROBABILITY_DIGITS = 1000
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def output_options(command):
@@ -68,7 +74,21 @@ def output_options(command):
     return command
 
 
+def _probability_digits(text: str) -> int:
+    """Digits written in a probability plus the size of its exponent: a
+    bound on the digits of the fraction's numerator and denominator."""
+    digits = len(re.findall(r"\d", text))
+    exponent = _EXPONENT.search(text)
+    if exponent is None or digits > MAX_PROBABILITY_DIGITS:
+        return digits
+    return digits + abs(int(exponent[1]))
+
+
 def _parse_probability(text: str, option_name: str) -> Fraction:
+    if _probability_digits(text) > MAX_PROBABILITY_DIGITS:
+        raise click.UsageError(
+            f"{option_name} may take at most {MAX_PROBABILITY_DIGITS} digits, its exponent counted in"
+        )
     try:
         value = as_rational(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -6,9 +6,10 @@ statistic of dubious operational meaning.  The reformulated question
 scores an arbitrary coup under (a) Player's action when he does hold 5
 and (b) the rule Banker assumes and best-responds to.  This module
 scores full coups exactly, naturals included, by weighing the three
-integer parts of ``banker.outcome_histograms`` with Player's draw-at-5
-probability.  It builds both the conditional and the whole-coup 2x2
-payoff matrices, and solves 2x2 zero-sum games in exact arithmetic.
+integer parts of ``banker.outcome_histograms`` (cached per distinct
+table, for at most 16 tables) with Player's draw-at-5 probability.  It
+builds both the conditional and the whole-coup 2x2 payoff matrices, and
+solves 2x2 zero-sum games in exact arithmetic.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ Which table Banker plays is entirely the caller's choice, so the same
 functions evaluate the correct tables, the mixed-rule table, and the
 flawed historical variants.  Each statistic reads the standing-on-5 or
 drawing-on-5 part of ``banker.outcome_histograms``: integer weights per
-final margin, from one pass over the table's cells.
+final margin, summed over the table's cells once per distinct table and
+cached for at most 16 tables.
 """
 
 from __future__ import annotations

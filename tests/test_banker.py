@@ -16,18 +16,23 @@ from chemin import (
     DORMOY,
     STOOD,
     VARIANTS,
+    CoupPolicy,
     DecisionTable,
+    FiveAction,
     PlayerRule,
     banker_draw_ev,
     banker_stand_ev,
     best_response_table,
+    coup_stats,
     dormoy_unweighted_response,
     equal_ev_cells,
+    five_stats,
     historical_table,
     mixed_best_response,
 )
+from chemin.banker import outcome_histograms
 from tests import oracles
-from tests.conftest import assert_plausible_response_shape, probabilities
+from tests.conftest import assert_plausible_response_shape, decision_tables, probabilities
 from tests.known_tables import GRID_VS_NON_TIREUR, GRID_VS_TIREUR
 
 NON_TIREUR, TIREUR = PlayerRule.NON_TIREUR, PlayerRule.TIREUR
@@ -288,3 +293,55 @@ class TestHistoricalVariants:
     def test_dormoy_non_tireur_is_annotation_only(self):
         assert historical_table(DORMOY, NON_TIREUR) == best_response_table(NON_TIREUR)
         assert DORMOY.near_ties_vs_non_tireur == frozenset({(5, 4)})
+
+
+class TestOutcomeHistogramsCache:
+    """``outcome_histograms`` keeps the sums of its last 16 distinct tables."""
+
+    def test_equal_tables_share_one_entry(self):
+        first = mixed_best_response(Fraction(1, 3))
+        second = DecisionTable.from_grid(first.to_grid())
+        assert first is not second
+        assert outcome_histograms(first) is outcome_histograms(second)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.lists(decision_tables(), min_size=17, max_size=20, unique=True))
+    def test_results_survive_eviction(self, tables):
+        outcome_histograms.cache_clear()
+        for table in tables:
+            outcome_histograms(table)
+        info = outcome_histograms.cache_info()
+        assert (info.misses, info.currsize) == (len(tables), info.maxsize)
+        for table in (tables[0], tables[-1]):  # evicted, then still cached
+            grid = table.to_grid()
+            for action in FiveAction:
+                drawing = action == FiveAction.DRAW
+                stats = five_stats(action, table)
+                assert (stats.win, stats.tie, stats.expectation) == oracles.five_stats(drawing, grid)
+                win, tie, loss, total = oracles.coup_counts(drawing, grid)
+                stats = coup_stats(CoupPolicy.for_action(action, table))
+                assert (stats.win, stats.tie, stats.loss) == (
+                    Fraction(win, total), Fraction(tie, total), Fraction(loss, total)
+                )
+
+    @settings(max_examples=20, deadline=None)
+    @given(decision_tables(), probabilities)
+    def test_cold_and_warm_cache_agree(self, table, pi):
+        def results():
+            policy = CoupPolicy(pi, table)
+            return coup_stats(policy), five_stats(FiveAction.STAND, table), five_stats(FiveAction.DRAW, table)
+
+        outcome_histograms.cache_clear()
+        cold = results()
+        assert outcome_histograms.cache_info().currsize == 1
+        assert results() == cold
+
+    def test_sweep_point_sums_its_table_once(self):
+        outcome_histograms.cache_clear()
+        pi = Fraction(5, 7)
+        table = mixed_best_response(pi)
+        coup_stats(CoupPolicy(pi, table))
+        five_stats(FiveAction.STAND, table)
+        five_stats(FiveAction.DRAW, table)
+        info = outcome_histograms.cache_info()
+        assert (info.misses, info.hits) == (1, 2)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +213,32 @@ class TestArgumentErrors:
         result = runner.invoke(main, ["simulate", "--coups", str(cli.MAX_COUPS + 1)])
         assert result.exit_code == 2
         assert "1<=x<=100000000" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["coup", "--action", "mix", "--pi", "1e-100000000"],
+            ["coup", "--action", "mix", "--pi", "1e-5000", "--exact"],
+            ["tables", "--strategy", "mix", "--pi", "1e-5000", "--format", "structured"],
+            ["coup", "--assume", "mix", "--assume-pi", "1E-997"],
+            ["five", "--assume", "mix", "--pi", "0." + "0" * 1000 + "1"],
+        ],
+        ids=["huge-exponent", "coup-exact", "tables-structured", "assume-pi", "long-decimal"],
+    )
+    def test_probability_with_too_many_digits_rejected_quickly(self, runner, args):
+        began = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - began < 1
+        assert result.exit_code == 2
+        assert f"at most {cli.MAX_PROBABILITY_DIGITS} digits" in result.output
+
+    @pytest.mark.parametrize(
+        "pi", ["1e-996", "0." + "3" * (cli.MAX_PROBABILITY_DIGITS - 1)], ids=["exponent", "digits"]
+    )
+    def test_longest_probability_accepted(self, runner, pi):
+        obj = json.loads(run_ok(runner, "tables", "--strategy", "mix", "--pi", pi, "--format", "structured"))
+        assert Fraction(obj["draw_probability"]) == Fraction(pi)
+        assert run_ok(runner, "coup", "--action", "mix", "--pi", pi, "--exact").startswith("W=")
 
     def test_largest_precision_accepted(self, runner):
         output = run_ok(runner, "five", "--precision", str(cli.MAX_PRECISION))
