@@ -24,10 +24,22 @@ from chemin import (
 )
 
 
+def at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}: {value}")
+        return value
+
+    return integer
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--coups", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=2026)
+    parser.add_argument("--coups", type=at_least(1), default=1_000_000)
+    parser.add_argument("--seed", type=at_least(0), default=2026)
     args = parser.parse_args()
 
     print(f"{args.coups} coups per scenario, base seed {args.seed}\n")

@@ -177,11 +177,14 @@ def _coup_weights() -> tuple[Parts, tuple[tuple[tuple[Parts, Parts], ...], ...]]
     card, deck = DENOMINATIONS_PER_VALUE, DENOMINATIONS
     two = [sum(card[a] * card[(total - a) % 10] for a in CARD_VALUES) for total in HAND_TOTALS]
 
+    # Equal histograms (a third of them are all zero) share one tuple.
+    interned: dict[Histogram, Histogram] = {}
+
     def parts(entries) -> Parts:
         grid = [[0] * len(MARGINS) for _ in range(3)]
         for part, margin, weight in entries:
             grid[part][margin + 9] += weight
-        return tuple(map(tuple, grid))
+        return tuple(interned.setdefault(histogram, histogram) for histogram in map(tuple, grid))
 
     settled = parts(
         (0, player - banker, two[player] * two[banker] * deck * deck)

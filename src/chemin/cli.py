@@ -450,7 +450,7 @@ def _compare_dormoy() -> tuple[list[str], list[list[str]], list[str]]:
 
 @main.command()
 @click.option("--coups", type=click.IntRange(min=1, max=MAX_COUPS), default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--action",
     type=click.Choice(["stand", "draw", "mix"]),

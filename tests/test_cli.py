@@ -214,6 +214,17 @@ class TestArgumentErrors:
         assert result.exit_code == 2
         assert "1<=x<=100000000" in result.output
 
+    def test_negative_seed_rejected_before_simulating(self, runner, monkeypatch):
+        # random.Random(-7) seeds like Random(7): a negative seed would
+        # replay the positive one while reporting a different seed.
+        def refuse(config):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        result = runner.invoke(main, ["simulate", "--coups", "1000", "--seed", "-7"])
+        assert result.exit_code == 2
+        assert "x>=0" in result.output
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -246,12 +257,27 @@ class TestArgumentErrors:
         assert len(win.split(".")[1]) == 1000
 
 
-def test_version_from_checkout():
+def run_from_checkout(*args: str) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-m", "chemin", "--version"],
-        capture_output=True, text=True, env=env, cwd=SRC.parent, check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=SRC.parent, check=False
     )
+
+
+def test_version_from_checkout():
+    result = run_from_checkout("-m", "chemin", "--version")
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-1] == "0.1.0"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--seed", "-1"], "--seed: must be >= 0"), (["--coups", "0"], "--coups: must be >= 1")],
+    ids=["negative-seed", "no-coups"],
+)
+def test_montecarlo_check_rejects_bad_arguments(args, message):
+    result = run_from_checkout("scripts/montecarlo_check.py", *args)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr

@@ -25,6 +25,9 @@ from chemin import (
 #: chi-square 0.999 quantile at 9 degrees of freedom.
 CHI2_CRITICAL_9DF = 27.877
 
+#: Banker draws only when Player's third card is worth 0.
+THIRD_CARD_ZERO = DecisionTable.from_grid([[int(column == 0) for column in range(11)]] * 8)
+
 
 def reference_simulate(config: SimConfig) -> SimResult:
     """The playout written card by card on the two stream-spec functions."""
@@ -92,6 +95,10 @@ class TestStreamSpec:
         "checkerboard": DecisionTable.from_grid(
             [[(total + column) % 2 for column in range(11)] for total in range(8)]
         ),
+        # Draws only on a third card worth 0, so in every row column 0
+        # differs from column 1 and from the stood column: a word 10-12
+        # read as anything but value 0 changes Banker's decision.
+        "third-card-0": THIRD_CARD_ZERO,
     }
 
     @pytest.mark.parametrize(
@@ -112,8 +119,9 @@ class TestStreamSpec:
             (11, Fraction(0), best_response_table(PlayerRule.NON_TIREUR), (44447, 9432, 46121)),
             (12, Fraction(1), best_response_table(PlayerRule.TIREUR), (44790, 8847, 46363)),
             (13, Fraction(1, 3), mixed_best_response(Fraction(1, 3)), (44418, 9351, 46231)),
+            (14, Fraction(1, 2), THIRD_CARD_ZERO, (54032, 8628, 37340)),
         ],
-        ids=["stand-vs-non-tireur", "draw-vs-tireur", "mixed-1/3"],
+        ids=["stand-vs-non-tireur", "draw-vs-tireur", "mixed-1/3", "mixed-1/2-third-card-0"],
     )
     def test_pinned_tallies(self, seed, pi, table, tally):
         result = simulate(SimConfig(coups=100_000, seed=seed, policy=CoupPolicy(pi, table)))
@@ -140,6 +148,12 @@ class TestSimResult:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             standing_config(0, seed=1)
+
+    def test_rejects_negative_seed(self):
+        # random.Random(-7) would replay the stream of Random(7).
+        with pytest.raises(ValueError, match="seed"):
+            standing_config(1, seed=-7)
+        assert simulate(standing_config(1, seed=0)).coups == 1
 
 
 class TestDistributionalSanity:
