@@ -18,19 +18,24 @@ All of it rests on one exact kernel, built on first use.  Every coup is
 enumerated once with integer weights over 13**6, taken from
 ``cards.DENOMINATIONS_PER_VALUE``, into Player-margin histograms per
 Banker cell and decision.  Each cell's per-rule sums, and with them both
-expectations, follow from those.  A table is then 88 integer comparisons,
-and ``outcome_histograms`` adds up a table's 88 cells for ``five`` and
-``coup``.  That sum is cached per distinct table, for at most 16 tables,
-so the statistics of one table share one sum.
+expectations, follow from those.  A pure or Dormoy table is then 88
+integer comparisons.  A mixed table is a lookup: Banker's reply to a mix
+changes only where some cell's gain changes sign, so the tables at those
+points and on the gaps between them are built once and cached, and
+``mixed_best_response`` bisects into them.  ``outcome_histograms`` adds
+up a table's 88 cells for ``five`` and ``coup``.  That sum is cached per
+distinct table, for at most 16 tables, so the statistics of one table
+share one sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cards import CARD_VALUES, DENOMINATIONS, DENOMINATIONS_PER_VALUE, HAND_TOTALS
 from .rational import as_rational
@@ -99,8 +104,15 @@ class DecisionTable:
 
     @classmethod
     def from_grid(cls, grid: Iterable[Iterable[int]]) -> "DecisionTable":
-        """Build from an 8x11 grid of 0/1 (or boolean) entries."""
-        return cls(tuple(tuple(bool(entry) for entry in row) for row in grid))
+        """Build from an 8x11 grid of 0/1 (or boolean) entries.
+
+        Anything else, such as "0", 2 or 0.5, is refused rather than read
+        by its truth value.
+        """
+        rows = tuple(tuple(row) for row in grid)
+        if any(not isinstance(entry, int) or entry not in (0, 1) for row in rows for entry in row):
+            raise ValueError("decision table entries must be 0/1 integers or booleans")
+        return cls(tuple(tuple(map(bool, row)) for row in rows))
 
     def to_grid(self) -> list[list[int]]:
         """Row-major 0/1 grid in the fixed column order 0-9, stood."""
@@ -288,6 +300,46 @@ def equal_ev_cells(assumed: PlayerRule) -> frozenset[Cell]:
     return _cells_where((cell[assumed].gain == 0 for cell in row) for row in _cell_sums())
 
 
+class _Segments(NamedTuple):
+    """Banker's reply to every mix, piece by piece over [0, 1].
+
+    ``points`` is sorted and holds 0, 1 and every p in between where some
+    cell's draw gain changes sign.  ``at_point[i]`` is the table at
+    ``points[i]``, and ``in_gap[i]`` the one on the open gap from
+    ``points[i]`` to ``points[i + 1]``.
+    """
+
+    points: tuple[Fraction, ...]
+    at_point: tuple[DecisionTable, ...]
+    in_gap: tuple[DecisionTable, ...]
+
+
+def _segments(gains: Sequence[Sequence[tuple[int, int]]]) -> _Segments:
+    """The segments for an 8x11 grid of (non-tireur, tireur) gain pairs.
+
+    At p = n/q a cell draws iff (q-n)*gain_0 + n*gain_1 > 0.  That is
+    linear in p, so it changes sign only at gain_0 / (gain_0 - gain_1),
+    and one table holds on each open gap between such points.
+    """
+    roots = {Fraction(g0, g0 - g1) for row in gains for g0, g1 in row if g0 != g1}
+    points = tuple(sorted({Fraction(0), Fraction(1), *(p for p in roots if 0 < p < 1)}))
+
+    def table(p: Fraction) -> DecisionTable:
+        n, q = p.numerator, p.denominator
+        return DecisionTable(tuple(tuple((q - n) * g0 + n * g1 > 0 for g0, g1 in row) for row in gains))
+
+    gaps = zip(points, points[1:])
+    return _Segments(points, tuple(map(table, points)), tuple(table((a + b) / 2) for a, b in gaps))
+
+
+@cache
+def _response_segments() -> _Segments:
+    """The segments of Banker's reply to a mix, from the kernel's gains."""
+    return _segments(
+        [[(non_tireur.gain, tireur.gain) for non_tireur, tireur in row] for row in _cell_sums()]
+    )
+
+
 def mixed_best_response(draw_at_five: Fraction | int | str) -> DecisionTable:
     """Banker's best response to a Player who draws at 5 with this probability.
 
@@ -297,16 +349,19 @@ def mixed_best_response(draw_at_five: Fraction | int | str) -> DecisionTable:
     rule (a non-tireur draws on 89/137 of non-natural totals and stands on
     48/137; a tireur on 105/137 and 32/137).  In joint weights, with
     p = n/q, a cell draws iff (q-n)*gain(non-tireur) + n*gain(tireur) > 0;
-    an exact 0 stands.  Probabilities 0 and 1 collapse to the pure best
-    responses; only those two and 1/2 are anchored in the historical
-    literature, the rest is an interpolation.  The 1/2 table is Banker's
-    mandatory rule in modern punto banco.
+    an exact 0 stands.  The reply changes only at 1/16, 71/176, 9/11 and
+    107/112, so each call is one bisect into the cached segments, and every
+    p on one open gap gets the same table object.  Probabilities 0 and 1
+    collapse to the pure best responses; only those two and 1/2 are
+    anchored in the historical literature, the rest is an interpolation.
+    The 1/2 table is Banker's mandatory rule in modern punto banco.
     """
     draw_probability = as_rational(draw_at_five)
     if not 0 <= draw_probability <= 1:
         raise ValueError(f"draw-at-five probability must be in [0, 1]: {draw_probability}")
-    n, q = draw_probability.numerator, draw_probability.denominator
-    return _table(lambda non_tireur, tireur: (q - n) * non_tireur.gain + n * tireur.gain > 0)
+    points, at_point, in_gap = _response_segments()
+    i = bisect_left(points, draw_probability)
+    return at_point[i] if points[i] == draw_probability else in_gap[i - 1]
 
 
 def dormoy_unweighted_response() -> DecisionTable:

@@ -69,12 +69,11 @@ def table_from_csv(text: str) -> DecisionTable:
         raise ValueError(f"expected {len(BANKER_TOTALS)} table rows, got {len(rows) - 1}")
     grid = []
     for total, row in enumerate(rows[1:]):
-        if len(row) != len(TABLE_CSV_HEADER) or int(row[0]) != total:
+        if len(row) != len(TABLE_CSV_HEADER) or row[0] != str(total):
             raise ValueError(f"malformed table row: {row!r}")
-        entries = [int(cell) for cell in row[1:]]
-        if any(entry not in (0, 1) for entry in entries):
+        if any(cell not in ("0", "1") for cell in row[1:]):
             raise ValueError(f"table entries must be 0 or 1: {row!r}")
-        grid.append(entries)
+        grid.append([int(cell) for cell in row[1:]])
     return DecisionTable.from_grid(grid)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from chemin import (
     historical_table,
     mixed_best_response,
 )
-from chemin.banker import outcome_histograms
+from chemin.banker import _response_segments, _segments, outcome_histograms
 from tests import oracles
 from tests.conftest import assert_plausible_response_shape, decision_tables, probabilities
 from tests.known_tables import GRID_VS_NON_TIREUR, GRID_VS_TIREUR
@@ -61,6 +62,17 @@ class TestDecisionTable:
         rows = tuple(tuple(1 for _ in range(11)) for _ in range(8))
         with pytest.raises(ValueError):
             DecisionTable(rows)
+
+    @pytest.mark.parametrize("bad", ["0", "1", 2, -1, 0.5, 1.0, None, Fraction(1)], ids=repr)
+    def test_from_grid_rejects_entries_other_than_0_1(self, bad):
+        grid = [[0] * 11 for _ in range(8)]
+        grid[3][7] = bad
+        with pytest.raises(ValueError):
+            DecisionTable.from_grid(grid)
+
+    def test_from_grid_accepts_ints_and_booleans(self):
+        mixed = [[bool(entry) if c % 2 else entry for c, entry in enumerate(row)] for row in GRID_VS_TIREUR]
+        assert DecisionTable.from_grid(mixed) == DecisionTable.from_grid(GRID_VS_TIREUR)
 
     def test_draws_lookup(self):
         table = DecisionTable.from_grid(GRID_VS_NON_TIREUR)
@@ -206,6 +218,115 @@ class TestMixedBestResponse:
             (Fraction(89), Fraction(105)), (Fraction(48), Fraction(32))
         )
         assert mixed_best_response(Fraction(1, 2)).to_grid() == grid
+
+
+def oracle_breakpoints() -> list[Fraction]:
+    """0, 1 and every p in (0, 1) where some cell of the oracle's
+    posterior-weighted response ties, from ``oracles.banker_evs`` alone."""
+    points = {Fraction(0), Fraction(1)}
+    for total in range(8):
+        for observed in [*range(10), None]:
+            w0, w1 = (48, 32) if observed is None else (89, 105)
+            (stand0, draw0), (stand1, draw1) = (
+                oracles.banker_evs(rule, total, observed) for rule in (0, 1)
+            )
+            # (1-p) * w0 * gain0 + p * w1 * gain1 = 0
+            a, b = w0 * (draw0 - stand0), w1 * (draw1 - stand1)
+            if a != b and 0 < a / (a - b) < 1:
+                points.add(a / (a - b))
+    return sorted(points)
+
+
+class TestResponseSegments:
+    """``mixed_best_response`` looks its table up in ``_response_segments``."""
+
+    def test_points_match_oracle_breakpoints(self):
+        points = _response_segments().points
+        assert list(points) == oracle_breakpoints()
+        assert points == tuple(map(Fraction, (0, "1/16", "71/176", "9/11", "107/112", 1)))
+
+    def test_segment_tables_match_oracle(self):
+        points, at_point, in_gap = _response_segments()
+        for point, table in zip(points, at_point):
+            assert table.to_grid() == posterior_weighted_grid(point)
+        for (a, b), table in zip(zip(points, points[1:]), in_gap):
+            assert table.to_grid() == posterior_weighted_grid((a + b) / 2)
+
+    def test_points_neighbours_and_midpoints_match_oracle(self):
+        points = oracle_breakpoints()
+        probes = set(points)
+        probes.update((a + b) / 2 for a, b in zip(points, points[1:]))
+        for point in points:
+            for k in (6, 9, 15):
+                probes.update((point - Fraction(1, 10**k), point + Fraction(1, 10**k)))
+        for pi in sorted(p for p in probes if 0 <= p <= 1):
+            assert mixed_best_response(pi).to_grid() == posterior_weighted_grid(pi), pi
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=10**12))
+    def test_arbitrary_mixtures_match_oracle(self, pi):
+        assert mixed_best_response(pi).to_grid() == posterior_weighted_grid(pi)
+
+    def test_one_gap_returns_one_table_object(self):
+        points = _response_segments().points
+        for a, b in zip(points, points[1:]):
+            first, second = a + (b - a) / 3, b - (b - a) / 7
+            assert mixed_best_response(first) is mixed_best_response(second)
+            assert mixed_best_response(str(second)) is mixed_best_response(first)
+
+
+class TestSegmentBuilder:
+    """``_segments`` on made-up gains, against the direct sign test."""
+
+    #: Cells with exact ties the kernel's gains never produce, then cells
+    #: whose roots coincide at 1/4 and cross it both ways.
+    SPECIAL = [(0, 5), (0, -5), (5, 0), (-5, 0), (0, 0), (3, 3), (-3, -3), (1, -3), (2, -6), (-1, 3)]
+
+    @staticmethod
+    def direct(gains, pi: Fraction) -> list[list[int]]:
+        n, q = pi.numerator, pi.denominator
+        return [[int((q - n) * g0 + n * g1 > 0) for g0, g1 in row] for row in gains]
+
+    @staticmethod
+    def lookup(segments, pi: Fraction):
+        points, at_point, in_gap = segments
+        if pi in points:
+            return at_point[points.index(pi)]
+        (i,) = [i for i, (a, b) in enumerate(zip(points, points[1:])) if a < pi < b]
+        return in_gap[i]
+
+    def gains(self, seed: int) -> list[list[tuple[int, int]]]:
+        rng = random.Random(seed)
+        cells = self.SPECIAL + [
+            (rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(88 - len(self.SPECIAL))
+        ]
+        rng.shuffle(cells)
+        return [cells[j * 11:(j + 1) * 11] for j in range(8)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_direct_test(self, seed):
+        gains = self.gains(seed)
+        segments = _segments(gains)
+        points = segments.points
+        roots = {Fraction(g0, g0 - g1) for row in gains for g0, g1 in row if g0 != g1}
+        assert points == tuple(sorted({Fraction(0), Fraction(1)} | {r for r in roots if 0 < r < 1}))
+        assert Fraction(1, 4) in points
+        assert len(segments.at_point) == len(points) == len(segments.in_gap) + 1
+        rng = random.Random(seed)
+        probes = [*points, *((a + b) / 2 for a, b in zip(points, points[1:]))]
+        probes += [Fraction(rng.randint(0, q), q) for q in (rng.randint(1, 10**9) for _ in range(200))]
+        for pi in probes:
+            assert self.lookup(segments, pi).to_grid() == self.direct(gains, pi), pi
+
+    def test_exact_zero_stands(self):
+        gains = [[(0, 0)] * 11] * 8
+        segments = _segments(gains)
+        assert segments.points == (0, 1)
+        flat = [[0] * 11 for _ in range(8)]
+        assert [t.to_grid() for t in (*segments.at_point, *segments.in_gap)] == [flat] * 3
+        gains = [[(0, 1)] * 11] * 8  # ties at 0, draws above it
+        at_zero, at_one = _segments(gains).at_point
+        assert at_zero.to_grid() == flat and at_one.to_grid() == [[1] * 11 for _ in range(8)]
 
 
 class TestAveragedResponseOracle:

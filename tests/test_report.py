@@ -66,6 +66,32 @@ class TestTableSerialization:
         with pytest.raises(ValueError):
             report.table_from_csv(good.replace("0,1,1,1", "0,1,2,1", 1))
 
+    @pytest.mark.parametrize("bad", [" 1", "01", "1 ", "+1", "true", ""], ids=repr)
+    def test_csv_rejects_entries_not_written_as_0_or_1(self, bad):
+        good = report.table_to_csv(best_response_table(PlayerRule.NON_TIREUR))
+        assert "\n3,1,1,1," in good
+        with pytest.raises(ValueError):
+            report.table_from_csv(good.replace("\n3,1,1,1,", f"\n3,1,{bad},1,", 1))
+
+    @pytest.mark.parametrize("bad", [" 3", "03", "3.0", "+3"], ids=repr)
+    def test_csv_rejects_row_index_not_written_as_emitted(self, bad):
+        good = report.table_to_csv(best_response_table(PlayerRule.NON_TIREUR))
+        with pytest.raises(ValueError):
+            report.table_from_csv(good.replace("\n3,", f"\n{bad},", 1))
+
+    @pytest.mark.parametrize("bad", ["0", "1", 2, 0.5, None], ids=repr)
+    def test_structured_rejects_entries_other_than_0_1(self, bad):
+        obj = report.table_to_structured(best_response_table(PlayerRule.TIREUR))
+        obj["rows"][2][5] = bad
+        with pytest.raises(ValueError):
+            report.table_from_structured(json.loads(json.dumps(obj)))
+
+    def test_structured_rejects_a_row_of_zero_strings(self):
+        obj = report.table_to_structured(best_response_table(PlayerRule.TIREUR))
+        obj["rows"] = [["0"] * 11 for _ in range(8)]
+        with pytest.raises(ValueError):
+            report.table_from_structured(obj)
+
     def test_csv_rejects_missing_rows(self):
         good = report.table_to_csv(best_response_table(PlayerRule.NON_TIREUR))
         truncated = "\n".join(good.splitlines()[:-1]) + "\n"
