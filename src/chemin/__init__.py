@@ -9,6 +9,7 @@ corrections, whole-coup game values, and the exact solutions of the two
 
 __version__ = "0.1.0"
 
+from .audit import bertrand_report
 from .banker import (
     BADOUREAU,
     BANKER_TOTALS,
@@ -32,12 +33,6 @@ from .banker import (
 from .cards import (
     CARD_VALUES,
     HAND_TOTALS,
-    mod10,
-    sign,
-    third_card_pdf,
-    tie_indicator,
-    two_card_pdf,
-    win_indicator,
 )
 from .coup import (
     CoupPolicy,
@@ -50,14 +45,11 @@ from .coup import (
 )
 from .five import (
     FiveAction,
-    FiveScenario,
     StatTriple,
-    bertrand_report,
-    five_functional,
     five_stats,
     naive_average_ev,
 )
-from .rational import Rational, as_rational, render_decimal, render_exact
+from .rational import as_rational, render_decimal, render_exact
 from .simulate import SimConfig, SimResult, bernoulli, draw_card_value, simulate
 
 __all__ = [
@@ -74,11 +66,9 @@ __all__ = [
     "CoupPolicy",
     "DecisionTable",
     "FiveAction",
-    "FiveScenario",
     "HistoricalVariant",
     "Matrix2x2",
     "PlayerRule",
-    "Rational",
     "SimConfig",
     "SimResult",
     "StatTriple",
@@ -94,20 +84,13 @@ __all__ = [
     "dormoy_unweighted_response",
     "draw_card_value",
     "equal_ev_cells",
-    "five_functional",
     "five_matrix",
     "five_stats",
     "historical_table",
     "mixed_best_response",
-    "mod10",
     "naive_average_ev",
     "render_decimal",
     "render_exact",
-    "sign",
     "simulate",
     "solve_2x2",
-    "third_card_pdf",
-    "tie_indicator",
-    "two_card_pdf",
-    "win_indicator",
 ]

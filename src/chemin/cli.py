@@ -4,41 +4,38 @@ Subcommands: ``tables``, ``five``, ``coup``, ``bar-matrix``, ``solve``,
 ``compare``, ``simulate``.  Every exact value printed by a subcommand is
 an exact rational; decimals are renderings at ``--precision`` digits and
 ``--exact`` switches to canonical ``num/den`` text.  ``--format`` picks
-Markdown (default), CSV, or a single structured JSON object.
+Markdown (default), CSV, or a single structured JSON object.  ``compare``
+is the exception: its audit always prints six decimals and exact
+fractions, the forms the historical figures are checked in, whatever
+``--precision`` or ``--exact`` say.
 
 Exit codes: 0 on success, 2 on argument errors, 1 on internal failures.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
 import click
 
+from .audit import AUDITS
 from .banker import (
     VARIANTS,
     DecisionTable,
     PlayerRule,
-    banker_draw_ev,
-    banker_stand_ev,
-    best_response_table,
     dormoy_unweighted_response,
     historical_table,
     mixed_best_response,
 )
 from .coup import CoupPolicy, bar_matrix, coup_stats, five_matrix, solve_2x2
-from .five import FiveAction, StatTriple, bertrand_report, five_stats
-from .rational import as_rational, render_decimal, render_exact
-from .reference import BADOUREAU_FRACTIONS, DORMOY_DECIMALS
+from .five import FiveAction, five_stats
+from .rational import as_rational
 from . import __version__, report
-from .simulate import SimConfig, SimResult, simulate as run_simulation
+from .simulate import SimConfig, simulate as run_simulation
 
 RULE_BY_NAME = {"non-tireur": PlayerRule.NON_TIREUR, "tireur": PlayerRule.TIREUR}
 ACTION_BY_NAME = {"stand": FiveAction.STAND, "draw": FiveAction.DRAW}
-
-SCENARIO_NAMES = {0: ("stand", "non-tireur"), 1: ("draw", "tireur")}
 
 #: Upper bounds on numeric options; larger values are usage errors.
 MAX_PRECISION = 1000
@@ -100,10 +97,6 @@ def _parse_probability(text: str, option_name: str) -> Fraction:
     return value
 
 
-def _emit_structured(obj: dict) -> None:
-    click.echo(json.dumps(obj, indent=2))
-
-
 def _banker_table(
     assume: str, pi_text: str, variant_name: str, pi_option: str
 ) -> tuple[DecisionTable, dict]:
@@ -159,43 +152,18 @@ def main() -> None:
 def tables(strategy: str, pi_text: str, variant: str, fmt: str, exact: bool, precision: int) -> None:
     """Print a Banker stand/draw table (rows: totals 0-7; columns: Player's
     third card 0-9 then "stand")."""
-    near_ties: list[tuple[int, int]] = []
-    meta: dict = {"command": "tables", "strategy": strategy}
     if strategy == "dormoy-average":
         if variant != "correct":
             raise click.UsageError("--variant applies only to pure strategies")
-        table = dormoy_unweighted_response()
-    elif strategy == "mix":
-        table, extra = _banker_table("mix", pi_text, variant, "--pi")
-        meta["draw_probability"] = extra["assume_draw_probability"]
+        table, meta = dormoy_unweighted_response(), {}
     else:
-        rule = RULE_BY_NAME[strategy]
-        table = historical_table(VARIANTS[variant], rule)
-        meta["variant"] = variant
-        if rule == PlayerRule.NON_TIREUR:
-            near_ties = sorted(VARIANTS[variant].near_ties_vs_non_tireur)
-
-    if fmt == "csv":
-        click.echo(report.table_to_csv(table), nl=False)
-    elif fmt == "structured":
-        structured = report.table_to_structured(table, **meta)
-        if near_ties:
-            structured["near_ties"] = [
-                {"total": total, "third_card": observed} for total, observed in near_ties
-            ]
-        _emit_structured(structured)
-    else:
-        click.echo(report.table_to_markdown(table), nl=False)
-        for total, observed in near_ties:
-            stand_ev = banker_stand_ev(PlayerRule.NON_TIREUR, total, observed)
-            draw_ev = banker_draw_ev(PlayerRule.NON_TIREUR, total, observed)
-            click.echo(
-                f"\nnear tie flagged at (total {total}, third card {observed}): "
-                f"stand {render_exact(stand_ev)} ({render_decimal(stand_ev, 6)}) vs "
-                f"draw {render_exact(draw_ev)} ({render_decimal(draw_ev, 6)}); "
-                f"both round to {render_decimal(stand_ev, 2)} at two decimals, "
-                "which is why this cell was once called indifferent."
-            )
+        table, chosen = _banker_table(strategy, pi_text, variant, "--pi")
+        meta = {"variant": variant} if strategy != "mix" else {"draw_probability": chosen["assume_draw_probability"]}
+    near_ties = sorted(VARIANTS[variant].near_ties_vs_non_tireur) if strategy == "non-tireur" else []
+    report.emit(
+        report.FlaggedTable(table, near_ties), fmt, exact, precision,
+        command="tables", strategy=strategy, **meta,
+    )
 
 
 @main.command()
@@ -224,15 +192,9 @@ def tables(strategy: str, pi_text: str, variant: str, fmt: str, exact: bool, pre
 @output_options
 def five(action: str, assume: str, pi_text: str, variant: str, fmt: str, exact: bool, precision: int) -> None:
     """Player's W/T/E when holding a two-card 5 (Banker non-natural)."""
-    table, table_meta = _banker_table(assume, pi_text, variant, "--pi")
+    table, meta = _banker_table(assume, pi_text, variant, "--pi")
     stats = five_stats(ACTION_BY_NAME[action], table)
-    meta = {"command": "five", "action": action, **table_meta}
-    if fmt == "csv":
-        click.echo(report.stats_to_csv(stats, precision), nl=False)
-    elif fmt == "structured":
-        _emit_structured(report.stats_to_structured(stats, precision, **meta))
-    else:
-        click.echo(report.stats_line(stats, exact, precision))
+    report.emit(stats, fmt, exact, precision, command="five", action=action, **meta)
 
 
 @main.command()
@@ -272,14 +234,7 @@ def coup(
 ) -> None:
     """Whole-coup W/T/E, naturals included, nothing conditioned away."""
     policy, meta = _coup_policy(action, pi_text, assume, assume_pi_text, variant)
-    stats = coup_stats(policy)
-    meta = {"command": "coup", **meta}
-    if fmt == "csv":
-        click.echo(report.stats_to_csv(stats, precision), nl=False)
-    elif fmt == "structured":
-        _emit_structured(report.stats_to_structured(stats, precision, **meta))
-    else:
-        click.echo(report.stats_line(stats, exact, precision))
+    report.emit(coup_stats(policy), fmt, exact, precision, command="coup", **meta)
 
 
 def _coup_policy(
@@ -299,13 +254,7 @@ def _coup_policy(
 @output_options
 def bar_matrix_command(fmt: str, exact: bool, precision: int) -> None:
     """The 2x2 whole-coup payoff matrix (Player expectation per coup)."""
-    matrix = bar_matrix()
-    if fmt == "csv":
-        click.echo(report.matrix_to_csv(matrix, precision), nl=False)
-    elif fmt == "structured":
-        _emit_structured(report.matrix_to_structured(matrix, precision, command="bar-matrix"))
-    else:
-        click.echo(report.matrix_to_markdown(matrix, exact, precision), nl=False)
+    report.emit(bar_matrix(), fmt, exact, precision, command="bar-matrix")
 
 
 @main.command()
@@ -320,19 +269,13 @@ def bar_matrix_command(fmt: str, exact: bool, precision: int) -> None:
 def solve(game: str, fmt: str, exact: bool, precision: int) -> None:
     """Solve one of the two 2x2 games exactly (saddle or mixed)."""
     matrix = five_matrix() if game == "five" else bar_matrix()
-    solution = solve_2x2(matrix)
-    if fmt == "csv":
-        click.echo(report.solution_to_csv(solution, precision), nl=False)
-    elif fmt == "structured":
-        _emit_structured(report.solution_to_structured(solution, precision, command="solve", game=game))
-    else:
-        click.echo(report.solution_to_markdown(solution, exact, precision), nl=False)
+    report.emit(solve_2x2(matrix), fmt, exact, precision, command="solve", game=game)
 
 
 @main.command()
 @click.option(
     "--against",
-    type=click.Choice(["bertrand", "badoureau", "dormoy"]),
+    type=click.Choice(list(AUDITS)),
     default="bertrand",
     show_default=True,
     help="Which historical analysis to audit.",
@@ -340,112 +283,7 @@ def solve(game: str, fmt: str, exact: bool, precision: int) -> None:
 @output_options
 def compare(against: str, fmt: str, exact: bool, precision: int) -> None:
     """Audit a historical analysis against the exact recomputation."""
-    if against == "bertrand":
-        header, rows, notes = _compare_bertrand()
-    elif against == "badoureau":
-        header, rows, notes = _compare_badoureau()
-    else:
-        header, rows, notes = _compare_dormoy()
-
-    if fmt == "csv":
-        click.echo(report.rows_to_csv(header, rows), nl=False)
-    elif fmt == "structured":
-        _emit_structured(
-            {
-                "command": "compare",
-                "against": against,
-                "columns": list(header),
-                "rows": [dict(zip(header, row)) for row in rows],
-                "notes": notes,
-            }
-        )
-    else:
-        click.echo(report.rows_to_markdown(header, rows), nl=False)
-        for note in notes:
-            click.echo(f"\n{note}")
-
-
-def _exact_five(key: tuple[int, int]) -> StatTriple:
-    """The exact statistics of one problem, recomputed on the correct table."""
-    action, assumed = key
-    return five_stats(FiveAction(action), best_response_table(PlayerRule(assumed)))
-
-
-def _compare_bertrand() -> tuple[list[str], list[list[str]], list[str]]:
-    header = [
-        "action", "assume", "table",
-        "W", "T", "E",
-        "W (1888)", "T (1888)", "E (1888)",
-        "match",
-    ]
-    rows = []
-    for scenario in bertrand_report():
-        table_name = "badoureau" if scenario.uses_badoureau_table else "correct"
-        rows.append(
-            [
-                scenario.action.name.lower(),
-                "tireur" if scenario.assumed else "non-tireur",
-                table_name,
-                *scenario.rendered,
-                *(render_decimal(value, 6) for value in scenario.reference),
-                "yes" if scenario.within_tolerance else "no",
-            ]
-        )
-    correct = _exact_five((1, 1))
-    notes = [
-        "The (draw, tireur) row matches only with Badoureau's erroneous table; "
-        "the correct table gives "
-        f"W={render_decimal(correct.win, 6)} T={render_decimal(correct.tie, 6)} "
-        f"E={render_decimal(correct.expectation, 6)}, nowhere near the 1888 figures.",
-    ]
-    return header, rows, notes
-
-
-def _compare_badoureau() -> tuple[list[str], list[list[str]], list[str]]:
-    header = ["action", "assume", "W", "T", "E", "W (1881)", "T (1881)", "E (1881)", "match"]
-    rows = []
-    for key in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        stats = _exact_five(key)
-        ours = (stats.win, stats.tie, stats.expectation)
-        his = BADOUREAU_FRACTIONS[key]
-        action, _ = SCENARIO_NAMES[key[0]]
-        _, assume = SCENARIO_NAMES[key[1]]
-        rows.append(
-            [
-                action,
-                assume,
-                *(render_exact(value) for value in ours),
-                *(render_exact(value) for value in his),
-                "yes" if ours == his else "no",
-            ]
-        )
-    notes = [
-        "The (draw, tireur) fractions reflect his three table errors at "
-        "(4,1), (4,9) and (6,6); flipping those cells reproduces his numbers exactly.",
-    ]
-    return header, rows, notes
-
-
-def _compare_dormoy() -> tuple[list[str], list[list[str]], list[str]]:
-    header = ["action", "assume", "E (1872)", "correct rounding", "E exact", "E decimal"]
-    rows = []
-    for key, (published, correct_rounding) in DORMOY_DECIMALS.items():
-        ours = _exact_five(key).expectation
-        action, _ = SCENARIO_NAMES[key[0]]
-        _, assume = SCENARIO_NAMES[key[1]]
-        rows.append(
-            [action, assume, published, correct_rounding, render_exact(ours), render_decimal(ours, 6)]
-        )
-    stand_ev = banker_stand_ev(PlayerRule.NON_TIREUR, 5, 4)
-    draw_ev = banker_draw_ev(PlayerRule.NON_TIREUR, 5, 4)
-    notes = [
-        "All three published expectations are computational slips; the method was sound.",
-        "His non-tireur table called (total 5, third card 4) indifferent: the exact "
-        f"expectations are stand {render_exact(stand_ev)} ({render_decimal(stand_ev, 6)}) vs "
-        f"draw {render_exact(draw_ev)} ({render_decimal(draw_ev, 6)}), separated only in "
-        "the third decimal.  His tireur table had one error, at (6,6).",
-    ]
-    return header, rows, notes
+    report.emit(AUDITS[against](), fmt, exact, precision, command="compare", against=against)
 
 
 @main.command()
@@ -479,64 +317,11 @@ def simulate(
 ) -> None:
     """Monte Carlo playout of full coups (seeded, reproducible)."""
     policy, meta = _coup_policy(action, pi_text, assume, assume_pi_text, "correct")
-    result = run_simulation(SimConfig(coups=coups, seed=seed, policy=policy))
-    rates = _empirical_rates(result)
-    if fmt == "csv":
-        header = ["stat", "value", "standard_error"]
-        rows = [
-            ["wins", result.wins, ""],
-            ["ties", result.ties, ""],
-            ["losses", result.losses, ""],
-            *(
-                [label, f"{value:.{precision}f}", f"{se:.{precision}f}"]
-                for label, value, se in _rate_rows(result)
-            ),
-        ]
-        click.echo(report.rows_to_csv(header, rows), nl=False)
-    elif fmt == "structured":
-        _emit_structured(
-            {
-                "command": "simulate",
-                "coups": coups,
-                "seed": seed,
-                **meta,
-                "wins": result.wins,
-                "ties": result.ties,
-                "losses": result.losses,
-                "empirical": {
-                    label: report.fraction_object(value, precision) for label, value in rates.items()
-                },
-                "standard_errors": {
-                    label: f"{se:.{precision}f}"
-                    for label, _, se in _rate_rows(result)
-                },
-            }
-        )
-    else:
-        click.echo(f"coups={coups} seed={seed}")
-        click.echo(f"wins={result.wins} ties={result.ties} losses={result.losses}")
-        for label, value, se in _rate_rows(result):
-            shown = render_exact(rates[label]) if exact else f"{value:.{precision}f}"
-            click.echo(f"{label}={shown} (se {se:.{precision}f})")
-
-
-def _empirical_rates(result: SimResult) -> dict[str, Fraction]:
-    n = result.coups
-    return {
-        "W": Fraction(result.wins, n),
-        "T": Fraction(result.ties, n),
-        "L": Fraction(result.losses, n),
-        "E": Fraction(result.wins - result.losses, n),
-    }
-
-
-def _rate_rows(result: SimResult) -> list[tuple[str, float, float]]:
-    return [
-        ("W", result.empirical_win, result.se_win),
-        ("T", result.empirical_tie, result.se_tie),
-        ("L", result.empirical_loss, result.se_loss),
-        ("E", result.empirical_expectation, result.se_expectation),
-    ]
+    config = SimConfig(coups=coups, seed=seed, policy=policy)
+    report.emit(
+        report.Simulation(config, run_simulation(config)), fmt, exact, precision,
+        command="simulate", coups=coups, seed=seed, **meta,
+    )
 
 
 if __name__ == "__main__":

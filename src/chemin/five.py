@@ -19,17 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable
 
-from .banker import BADOUREAU, CORRECT, MARGINS, DecisionTable, PlayerRule, historical_table
-from .banker import outcome_histograms, win_tie_loss
-from .rational import as_rational, render_decimal
-from .reference import BERTRAND_DECIMALS
-
-#: Largest |rendered - reference| accepted when auditing six-decimal
-#: values: one unit in the last place, since the historical renderings
-#: mix truncation with rounding.
-SIX_DECIMAL_TOLERANCE = Fraction(1, 10**6)
+from .banker import DecisionTable, outcome_histograms, win_tie_loss
+from .rational import as_rational
 
 
 class FiveAction(IntEnum):
@@ -74,23 +66,6 @@ class StatTriple:
         return self.win + Fraction(self.tie, 2)
 
 
-def five_functional(
-    action: FiveAction,
-    table: DecisionTable,
-    outcome_value: Callable[[int], int | Fraction],
-) -> Fraction:
-    """Mean of ``outcome_value(final margin)`` for a Player two-card 5.
-
-    The margin is Player's final total minus Banker's, and the mean is
-    conditional on Banker not holding a natural.  Plugging in the win or
-    tie indicator gives the respective probability; the sign function
-    gives Player's expected profit.
-    """
-    histogram = outcome_histograms(table)[1 + action]
-    total = sum(outcome_value(margin) * weight for margin, weight in zip(MARGINS, histogram) if weight)
-    return Fraction(total, sum(histogram))
-
-
 def five_stats(action: FiveAction, table: DecisionTable) -> StatTriple:
     """W, T, E for one draw-at-five scenario against the given table."""
     histogram = outcome_histograms(table)[1 + action]
@@ -108,55 +83,3 @@ def naive_average_ev(
     Badoureau effectively used.
     """
     return Fraction(as_rational(ev_assumed_non_tireur) + as_rational(ev_assumed_tireur), 2)
-
-
-@dataclass(frozen=True)
-class FiveScenario:
-    """One of the four problems next to Bertrand's published decimals."""
-
-    action: FiveAction
-    assumed: PlayerRule
-    uses_badoureau_table: bool
-    stats: StatTriple
-    rendered: tuple[str, str, str]
-    reference: tuple[Fraction, Fraction, Fraction]
-
-    @property
-    def within_tolerance(self) -> bool:
-        """True when all three renderings sit within one unit in the
-        sixth decimal of the published values."""
-        return all(
-            abs(as_rational(ours) - published) <= SIX_DECIMAL_TOLERANCE
-            for ours, published in zip(self.rendered, self.reference)
-        )
-
-
-def bertrand_report() -> list[FiveScenario]:
-    """Audit the 1888 six-decimal figures scenario by scenario.
-
-    The first three scenarios use the correct tables.  The (draw, tireur)
-    scenario is evaluated with Badoureau's flawed table instead, because
-    that is the only table under which Bertrand's published numbers for
-    it can be reproduced; callers should label it accordingly.
-    """
-    scenarios = []
-    for action in FiveAction:
-        for assumed in PlayerRule:
-            inject_errors = action == FiveAction.DRAW and assumed == PlayerRule.TIREUR
-            variant = BADOUREAU if inject_errors else CORRECT
-            stats = five_stats(action, historical_table(variant, assumed))
-            rendered = tuple(
-                render_decimal(value, 6)
-                for value in (stats.win, stats.tie, stats.expectation)
-            )
-            scenarios.append(
-                FiveScenario(
-                    action=action,
-                    assumed=assumed,
-                    uses_badoureau_table=inject_errors,
-                    stats=stats,
-                    rendered=rendered,
-                    reference=BERTRAND_DECIMALS[(int(action), int(assumed))],
-                )
-            )
-    return scenarios

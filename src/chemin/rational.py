@@ -1,7 +1,7 @@
 """Exact rational numbers and their text renderings.
 
 The whole engine computes in exact rational arithmetic; floats never
-enter a probability or expectation path.  ``Rational`` is the stdlib
+enter a probability or expectation path.  Values are the stdlib
 ``fractions.Fraction``, which already guarantees the invariants we rely
 on: canonical form (positive denominator, gcd of numerator and
 denominator equal to 1) enforced at construction, arbitrary-precision
@@ -15,8 +15,6 @@ into a computation.
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

@@ -5,20 +5,25 @@ flat CSV (comma-separated, header row, LF line endings), and a
 "structured" JSON object per command in which every exact value appears
 as a ``{"num": ..., "den": ...}`` pair, optionally alongside a decimal
 rendering.  Table CSV and table JSON both round-trip back into identical
-``DecisionTable`` values.
+``DecisionTable`` values.  ``emit`` prints any command's result in any
+of the three shapes; it is the one place a format name picks a renderer.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .banker import BANKER_TOTALS, DecisionTable
+from .audit import Audit, near_tie_note
+from .banker import BANKER_TOTALS, Cell, DecisionTable
 from .coup import Matrix2x2, TwoByTwoGame
 from .five import StatTriple
 from .rational import render_decimal, render_exact
+from .simulate import SimConfig, SimResult
 
 #: Machine-readable label of the "Player stood" column.
 STOOD_LABEL = "stand"
@@ -47,17 +52,38 @@ def fraction_from_object(obj: dict) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
+def _csv_value(value: Fraction, precision: int) -> tuple:
+    """The num, den and decimal cells of one exact value in a CSV row."""
+    return value.numerator, value.denominator, render_decimal(value, precision)
+
+
+# ---------------------------------------------------------------------------
+# Generic row listings: every CSV, and the Markdown grid of most listings
+
+
+def rows_to_markdown(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    lines = [
+        "| " + " | ".join(header) + " |",
+        "|" + "---|" * len(header),
+    ]
+    lines.extend("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Decision tables
 
 
 def table_to_csv(table: DecisionTable) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TABLE_CSV_HEADER)
-    for total, row in enumerate(table.to_grid()):
-        writer.writerow([total, *row])
-    return out.getvalue()
+    return rows_to_csv(TABLE_CSV_HEADER, [[total, *row] for total, row in enumerate(table.to_grid())])
 
 
 def table_from_csv(text: str) -> DecisionTable:
@@ -78,13 +104,7 @@ def table_from_csv(text: str) -> DecisionTable:
 
 
 def table_to_markdown(table: DecisionTable) -> str:
-    lines = [
-        "| total | " + " | ".join(COLUMN_LABELS) + " |",
-        "|" + "---|" * (1 + len(COLUMN_LABELS)),
-    ]
-    for total, row in enumerate(table.to_grid()):
-        lines.append(f"| {total} | " + " | ".join(str(entry) for entry in row) + " |")
-    return "\n".join(lines) + "\n"
+    return rows_to_markdown(TABLE_CSV_HEADER, [[total, *row] for total, row in enumerate(table.to_grid())])
 
 
 def table_to_structured(table: DecisionTable, **meta) -> dict:
@@ -118,12 +138,8 @@ def stats_line(stats: StatTriple, exact: bool = True, precision: int = 6) -> str
 
 
 def stats_to_csv(stats: StatTriple, precision: int = 6) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("stat", "num", "den", "decimal"))
-    for label, value in zip(STAT_LABELS, _stat_values(stats)):
-        writer.writerow((label, value.numerator, value.denominator, render_decimal(value, precision)))
-    return out.getvalue()
+    rows = [(label, *_csv_value(value, precision)) for label, value in zip(STAT_LABELS, _stat_values(stats))]
+    return rows_to_csv(("stat", "num", "den", "decimal"), rows)
 
 
 def stats_to_structured(stats: StatTriple, precision: int = 6, **meta) -> dict:
@@ -153,15 +169,12 @@ def matrix_to_markdown(matrix: Matrix2x2, exact: bool = True, precision: int = 6
 
 
 def matrix_to_csv(matrix: Matrix2x2, precision: int = 6) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("row", "col", "num", "den", "decimal"))
-    for row_label, row in zip(ROW_LABELS, matrix):
-        for col_label, value in zip(COL_LABELS, row):
-            writer.writerow(
-                (row_label, col_label, value.numerator, value.denominator, render_decimal(value, precision))
-            )
-    return out.getvalue()
+    rows = [
+        (row_label, col_label, *_csv_value(value, precision))
+        for row_label, row in zip(ROW_LABELS, matrix)
+        for col_label, value in zip(COL_LABELS, row)
+    ]
+    return rows_to_csv(("row", "col", "num", "den", "decimal"), rows)
 
 
 def matrix_to_structured(matrix: Matrix2x2, precision: int = 6, **meta) -> dict:
@@ -188,9 +201,6 @@ def solution_to_markdown(solution: TwoByTwoGame, exact: bool = True, precision: 
 
 
 def solution_to_csv(solution: TwoByTwoGame, precision: int = 6) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("field", "num", "den", "decimal"))
     fields = [
         ("value", solution.value),
         (f"row:{ROW_LABELS[0]}", solution.row_mix[0]),
@@ -198,9 +208,8 @@ def solution_to_csv(solution: TwoByTwoGame, precision: int = 6) -> str:
         (f"col:{COL_LABELS[0]}", solution.col_mix[0]),
         (f"col:{COL_LABELS[1]}", solution.col_mix[1]),
     ]
-    for name, value in fields:
-        writer.writerow((name, value.numerator, value.denominator, render_decimal(value, precision)))
-    return out.getvalue()
+    rows = [(name, *_csv_value(value, precision)) for name, value in fields]
+    return rows_to_csv(("field", "num", "den", "decimal"), rows)
 
 
 def solution_to_structured(solution: TwoByTwoGame, precision: int = 6, **meta) -> dict:
@@ -217,21 +226,127 @@ def solution_to_structured(solution: TwoByTwoGame, precision: int = 6, **meta) -
 
 
 # ---------------------------------------------------------------------------
-# Generic row listings (compare, simulate)
+# Command results and ``emit``
 
 
-def rows_to_markdown(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+class FlaggedTable(NamedTuple):
+    """A Banker table with the cells its author called indifferent."""
+
+    table: DecisionTable
+    near_ties: Sequence[Cell]
+
+
+class Simulation(NamedTuple):
+    """One seeded Monte Carlo run and its tallies."""
+
+    config: SimConfig
+    result: SimResult
+
+
+def _flagged_to_markdown(flagged: FlaggedTable, exact: bool, precision: int) -> str:
+    notes = "".join(f"\n{near_tie_note(*cell)}\n" for cell in flagged.near_ties)
+    return table_to_markdown(flagged.table) + notes
+
+
+def _flagged_to_csv(flagged: FlaggedTable, precision: int) -> str:
+    return table_to_csv(flagged.table)
+
+
+def _flagged_to_structured(flagged: FlaggedTable, precision: int, **meta) -> dict:
+    structured = table_to_structured(flagged.table, **meta)
+    if flagged.near_ties:
+        structured["near_ties"] = [{"total": total, "third_card": seen} for total, seen in flagged.near_ties]
+    return structured
+
+
+def _stats_to_markdown(stats: StatTriple, exact: bool, precision: int) -> str:
+    return stats_line(stats, exact, precision) + "\n"
+
+
+def _audit_to_markdown(audit: Audit, exact: bool, precision: int) -> str:
+    return rows_to_markdown(audit.header, audit.rows) + "".join(f"\n{note}\n" for note in audit.notes)
+
+
+def _audit_to_csv(audit: Audit, precision: int) -> str:
+    return rows_to_csv(audit.header, audit.rows)
+
+
+def _audit_to_structured(audit: Audit, precision: int, **meta) -> dict:
+    return {
+        **meta,
+        "columns": list(audit.header),
+        "rows": [dict(zip(audit.header, row)) for row in audit.rows],
+        "notes": audit.notes,
+    }
+
+
+def _rates(result: SimResult) -> list[tuple[str, Fraction, float]]:
+    """Each empirical rate as its exact count ratio, with its standard
+    error; the errors are irrational, so they stay display-only floats."""
+    counts = (result.wins, result.ties, result.losses, result.wins - result.losses)
+    errors = (result.se_win, result.se_tie, result.se_loss, result.se_expectation)
+    return [(label, Fraction(count, result.coups), se) for label, count, se in zip("WTLE", counts, errors)]
+
+
+def _simulation_to_markdown(run: Simulation, exact: bool, precision: int) -> str:
+    result = run.result
     lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
+        f"coups={run.config.coups} seed={run.config.seed}",
+        f"wins={result.wins} ties={result.ties} losses={result.losses}",
     ]
-    lines.extend("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows)
+    for label, rate, se in _rates(result):
+        lines.append(f"{label}={render_fraction(rate, exact, precision)} (se {se:.{precision}f})")
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+def _simulation_to_csv(run: Simulation, precision: int) -> str:
+    result = run.result
+    rows = [
+        ["wins", result.wins, ""],
+        ["ties", result.ties, ""],
+        ["losses", result.losses, ""],
+    ]
+    for label, rate, se in _rates(result):
+        rows.append([label, render_decimal(rate, precision), f"{se:.{precision}f}"])
+    return rows_to_csv(["stat", "value", "standard_error"], rows)
+
+
+def _simulation_to_structured(run: Simulation, precision: int, **meta) -> dict:
+    result, rates = run.result, _rates(run.result)
+    return {
+        **meta,
+        "wins": result.wins,
+        "ties": result.ties,
+        "losses": result.losses,
+        "empirical": {label: fraction_object(rate, precision) for label, rate, _ in rates},
+        "standard_errors": {label: f"{se:.{precision}f}" for label, _, se in rates},
+    }
+
+
+#: Result type -> its (Markdown, CSV, structured) renderers.  A Matrix2x2
+#: is a plain tuple of rows, so it is found under ``tuple``; the named
+#: tuples above are found under their own types.
+_RENDERERS = {
+    FlaggedTable: (_flagged_to_markdown, _flagged_to_csv, _flagged_to_structured),
+    StatTriple: (_stats_to_markdown, stats_to_csv, stats_to_structured),
+    tuple: (matrix_to_markdown, matrix_to_csv, matrix_to_structured),
+    TwoByTwoGame: (solution_to_markdown, solution_to_csv, solution_to_structured),
+    Audit: (_audit_to_markdown, _audit_to_csv, _audit_to_structured),
+    Simulation: (_simulation_to_markdown, _simulation_to_csv, _simulation_to_structured),
+}
+
+
+def emit(result, fmt: str, exact: bool, precision: int, **meta) -> None:
+    """Print a command's result to stdout as Markdown, CSV or structured JSON.
+
+    ``exact`` and ``precision`` apply where the format renders values;
+    ``meta`` (the command and its settings) leads the structured object.
+    """
+    markdown, csv_text, structured = _RENDERERS[type(result)]
+    if fmt == "markdown":
+        text = markdown(result, exact, precision)
+    elif fmt == "csv":
+        text = csv_text(result, precision)
+    else:
+        text = json.dumps(structured(result, precision, **meta), indent=2) + "\n"
+    sys.stdout.write(text)

@@ -25,6 +25,15 @@ def sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def two_card_weights() -> list[int]:
+    """Weight of each two-card total out of 13**2: the mod-10
+    convolution of two independent card values."""
+    return [
+        sum(WEIGHTS[a] * WEIGHTS[b] for a in range(10) for b in range(10) if (a + b) % 10 == total)
+        for total in range(10)
+    ]
+
+
 def banker_evs(
     tireur: int, banker_total: int, third_card: int | None
 ) -> tuple[Fraction, Fraction]:

@@ -1,91 +1,72 @@
-"""Card model: the two elementary distributions and hand totals."""
+"""Card model: the weight of each card value and what follows from it."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from chemin import CARD_VALUES, HAND_TOTALS
+from chemin.banker import MARGINS, win_tie_loss
+from chemin.cards import DENOMINATIONS, DENOMINATIONS_PER_VALUE
+from tests import oracles
 
-import pytest
 
-from chemin import (
-    CARD_VALUES,
-    HAND_TOTALS,
-    mod10,
-    sign,
-    third_card_pdf,
-    tie_indicator,
-    two_card_pdf,
-    win_indicator,
-)
+def two_card_weights() -> list[int]:
+    """Weight of each two-card total out of DENOMINATIONS**2, from the
+    package's card weights."""
+    card = DENOMINATIONS_PER_VALUE
+    return [sum(card[a] * card[(total - a) % 10] for a in CARD_VALUES) for total in HAND_TOTALS]
 
 
 class TestThirdCardPdf:
+    """A dealt card has value v with probability
+    ``DENOMINATIONS_PER_VALUE[v] / DENOMINATIONS``."""
+
     def test_zero_covers_four_denominations(self):
-        assert third_card_pdf(0) == Fraction(4, 13)
+        assert DENOMINATIONS_PER_VALUE[0] == 4
 
     def test_other_values(self):
-        assert third_card_pdf(7) == Fraction(1, 13)
+        assert DENOMINATIONS_PER_VALUE[7] == 1
 
     def test_normalizes(self):
-        assert sum(third_card_pdf(value) for value in CARD_VALUES) == 1
+        assert sum(DENOMINATIONS_PER_VALUE[value] for value in CARD_VALUES) == DENOMINATIONS
 
     def test_everywhere_positive(self):
-        assert all(third_card_pdf(value) > 0 for value in CARD_VALUES)
-
-    @pytest.mark.parametrize("bad", [-1, 10, 13])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            third_card_pdf(bad)
+        assert all(DENOMINATIONS_PER_VALUE[value] > 0 for value in CARD_VALUES)
 
 
 class TestTwoCardPdf:
     def test_zero_total(self):
-        assert two_card_pdf(0) == Fraction(25, 169)
+        assert two_card_weights()[0] == 25
 
     def test_nonzero_total(self):
-        assert two_card_pdf(5) == Fraction(16, 169)
+        assert two_card_weights()[5] == 16
 
     def test_normalizes(self):
-        assert sum(two_card_pdf(total) for total in HAND_TOTALS) == 1
+        assert sum(two_card_weights()) == DENOMINATIONS**2
 
     def test_matches_convolution_of_two_cards(self):
-        # The two-card pmf must be the pmf of the mod-10 sum of two
-        # independent card values.
-        for total in HAND_TOTALS:
-            convolved = sum(
-                third_card_pdf(a) * third_card_pdf(b)
-                for a in CARD_VALUES
-                for b in CARD_VALUES
-                if (a + b) % 10 == total
-            )
-            assert convolved == two_card_pdf(total)
-
-    @pytest.mark.parametrize("bad", [-2, 10])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            two_card_pdf(bad)
+        # The oracle convolves its own weights, which share no code with
+        # the package's.
+        assert two_card_weights() == oracles.two_card_weights()
 
 
-class TestMod10:
-    @pytest.mark.parametrize("value,expected", [(14, 4), (9, 9), (10, 0), (0, 0)])
-    def test_examples(self, value, expected):
-        assert mod10(value) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            mod10(-1)
+def outcomes(margin: int) -> tuple[int, int, int]:
+    """(win, tie, loss) weights of a histogram holding one coup at ``margin``."""
+    return win_tie_loss(tuple(int(m == margin) for m in MARGINS))
 
 
 class TestOutcomeFunctionals:
+    """``banker.win_tie_loss`` classifies Player's margin."""
+
     def test_win_indicator(self):
-        assert [win_indicator(m) for m in (-2, 0, 3)] == [0, 0, 1]
+        assert [outcomes(m)[0] for m in (-2, 0, 3)] == [0, 0, 1]
 
     def test_tie_indicator(self):
-        assert [tie_indicator(m) for m in (-2, 0, 3)] == [0, 1, 0]
+        assert [outcomes(m)[1] for m in (-2, 0, 3)] == [0, 1, 0]
 
     def test_sign(self):
-        assert [sign(m) for m in (-2, 0, 3)] == [-1, 0, 1]
+        assert [outcomes(m)[0] - outcomes(m)[2] for m in (-2, 0, 3)] == [-1, 0, 1]
 
     def test_sign_is_win_minus_loss(self):
-        for margin in range(-9, 10):
-            loss = 1 - win_indicator(margin) - tie_indicator(margin)
-            assert sign(margin) == win_indicator(margin) - loss
+        for margin in MARGINS:
+            win, tie, loss = outcomes(margin)
+            assert win + tie + loss == 1
+            assert win - loss == oracles.sign(margin)

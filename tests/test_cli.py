@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from chemin import PlayerRule, StatTriple, best_response_table, historical_table, VARIANTS
-from chemin import cli
+from chemin import audit, cli
 from chemin.cli import main
 from chemin import report
 
@@ -158,7 +158,7 @@ class TestCompareCommand:
         # "ours" comes from five_stats, so an engine that drifted would
         # stop matching instead of quoting a stored answer.
         drifted = StatTriple(Fraction(1, 2), Fraction(0), Fraction(0))
-        monkeypatch.setattr(cli, "five_stats", lambda action, table: drifted)
+        monkeypatch.setattr(audit, "five_stats", lambda action, table: drifted)
         obj = json.loads(run_ok(runner, "compare", "--against", "badoureau", "--format", "structured"))
         assert [row["match"] for row in obj["rows"]] == ["no"] * 4
         dormoy = run_ok(runner, "compare", "--against", "dormoy", "--format", "csv")
@@ -187,6 +187,27 @@ class TestSimulateCommand:
     def test_exact_mode_prints_count_fractions(self, runner):
         output = run_ok(runner, "simulate", "--coups", "1000", "--seed", "2", "--exact")
         assert "W=" in output and "(se " in output
+
+    @pytest.mark.parametrize(
+        "args", [["--coups", "1000", "--seed", "2", "--precision", "20"], ["--coups", "8", "--seed", "0", "--precision", "2"]]
+    )
+    def test_rates_render_their_exact_count_ratios(self, runner, args):
+        # Each format shows a rate as the structured decimal of its count
+        # ratio, halves rounded away from zero, never a float's digits.
+        obj = json.loads(run_ok(runner, "simulate", *args, "--format", "structured"))
+        decimals = {label: item["decimal"] for label, item in obj["empirical"].items()}
+        csv_rows = dict(line.split(",")[:2] for line in run_ok(runner, "simulate", *args, "--format", "csv").splitlines())
+        markdown = dict(item.split("=", 1) for item in run_ok(runner, "simulate", *args).split() if "=" in item)
+        assert {label: csv_rows[label] for label in "WTLE"} == decimals
+        assert {label: markdown[label] for label in "WTLE"} == decimals
+
+    def test_rates_at_a_rounding_half(self, runner):
+        # 1/8 at two decimals is a half: 0.13, where a float rounds to 0.12.
+        output = run_ok(runner, "simulate", "--coups", "8", "--seed", "0", "--precision", "2")
+        assert "ties=1 " in output
+        assert "T=0.13 " in output and "E=-0.13 " in output
+        csv_text = run_ok(runner, "simulate", "--coups", "1000", "--seed", "2", "--precision", "20", "--format", "csv")
+        assert "T,0.10900000000000000000," in csv_text
 
 
 class TestArgumentErrors:

@@ -15,13 +15,10 @@ from chemin import (
     StatTriple,
     bertrand_report,
     best_response_table,
-    five_functional,
     five_stats,
     historical_table,
     mixed_best_response,
     naive_average_ev,
-    sign,
-    win_indicator,
 )
 from tests import oracles
 from tests.conftest import decision_tables
@@ -101,17 +98,6 @@ class TestFiveStats:
 
 
 class TestFiveFunctional:
-    def test_win_indicator_on_stand(self):
-        value = five_functional(STAND, best_response_table(NON_TIREUR), win_indicator)
-        assert value == Fraction(792, 1781)
-
-    def test_sign_on_draw(self):
-        value = five_functional(DRAW, best_response_table(TIREUR), sign)
-        assert value == Fraction(175, 23153)
-
-    def test_zero_functional(self):
-        assert five_functional(STAND, best_response_table(TIREUR), lambda _: 0) == 0
-
     @settings(max_examples=20, deadline=None)
     @given(decision_tables())
     def test_matches_enumeration_oracle_on_arbitrary_tables(self, table):

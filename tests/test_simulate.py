@@ -18,9 +18,8 @@ from chemin import (
     draw_card_value,
     mixed_best_response,
     simulate,
-    third_card_pdf,
-    two_card_pdf,
 )
+from tests import oracles
 
 #: chi-square 0.999 quantile at 9 degrees of freedom.
 CHI2_CRITICAL_9DF = 27.877
@@ -163,9 +162,10 @@ class TestDistributionalSanity:
         counts = [0] * 10
         for _ in range(n):
             counts[draw_card_value(rng)] += 1
+        pmf = [Fraction(weight, 13) for weight in oracles.WEIGHTS]
         chi2 = sum(
-            (count - float(third_card_pdf(value)) * n) ** 2
-            / (float(third_card_pdf(value)) * n)
+            (count - float(pmf[value]) * n) ** 2
+            / (float(pmf[value]) * n)
             for value, count in enumerate(counts)
         )
         assert chi2 < CHI2_CRITICAL_9DF
@@ -176,9 +176,10 @@ class TestDistributionalSanity:
         counts = [0] * 10
         for _ in range(n):
             counts[(draw_card_value(rng) + draw_card_value(rng)) % 10] += 1
+        pmf = [Fraction(weight, 169) for weight in oracles.two_card_weights()]
         chi2 = sum(
-            (count - float(two_card_pdf(total)) * n) ** 2
-            / (float(two_card_pdf(total)) * n)
+            (count - float(pmf[total]) * n) ** 2
+            / (float(pmf[total]) * n)
             for total, count in enumerate(counts)
         )
         assert chi2 < CHI2_CRITICAL_9DF
