@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from fractions import Fraction
 
 from chemin import (
     CoupPolicy,
@@ -22,6 +23,7 @@ from chemin import (
     coup_stats,
     simulate,
 )
+from chemin.rational import render_decimal, render_sqrt
 
 
 def at_least(minimum: int):
@@ -43,7 +45,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"{args.coups} coups per scenario, base seed {args.seed}\n")
-    worst = 0.0
+    worst = Fraction(0)
     for index, (action, assumed) in enumerate(
         (a, v) for a in FiveAction for v in PlayerRule
     ):
@@ -56,16 +58,17 @@ def main() -> None:
         label = f"{action.name.lower():5s} at 5 vs assumed {assumed.name.lower().replace('_', '-')}"
         print(f"{label}  ({elapsed:.1f}s)")
         pairs = [
-            ("W", result.empirical_win, float(exact.win)),
-            ("T", result.empirical_tie, float(exact.tie)),
-            ("L", result.empirical_loss, float(exact.loss)),
+            ("W", result.wins, exact.win),
+            ("T", result.ties, exact.tie),
+            ("L", result.losses, exact.loss),
         ]
-        for name, empirical, truth in pairs:
-            se = (truth * (1 - truth) / args.coups) ** 0.5
-            z = (empirical - truth) / se
-            worst = max(worst, abs(z))
-            print(f"  {name}: empirical {empirical:.6f} vs exact {truth:.6f}  (z = {z:+.2f})")
-    print(f"\nlargest |z| = {worst:.2f} (anything under ~4 is unremarkable)")
+        for name, count, truth in pairs:
+            empirical = Fraction(count, args.coups)
+            z_squared = (empirical - truth) ** 2 / (truth * (1 - truth) / args.coups)
+            worst = max(worst, z_squared)
+            z = ("-" if empirical < truth else "+") + render_sqrt(z_squared, 2)
+            print(f"  {name}: empirical {render_decimal(empirical, 6)} vs exact {render_decimal(truth, 6)}  (z = {z})")
+    print(f"\nlargest |z| = {render_sqrt(worst, 2)} (anything under ~4 is unremarkable)")
 
 
 if __name__ == "__main__":

@@ -8,13 +8,15 @@ denominator equal to 1) enforced at construction, arbitrary-precision
 integers, and exact arithmetic and comparisons.
 
 Decimal output is rendering only: ``render_decimal`` rounds half away
-from zero at a caller-chosen precision, and its result never feeds back
-into a computation.
+from zero at a caller-chosen precision, ``render_sqrt`` does the same for
+the square root of a rational (a standard error) through integer square
+roots, and neither result ever feeds back into a computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -43,3 +45,17 @@ def render_decimal(value: Fraction, places: int) -> str:
     text = str(digits).rjust(places + 1, "0")
     sign = "-" if value < 0 and digits else ""
     return f"{sign}{text[:-places]}.{text[-places:]}"
+
+
+def render_sqrt(value: Fraction, places: int) -> str:
+    """The square root of ``value`` at ``places`` digits, correctly rounded
+    with halves away from zero, as ``render_decimal`` would round it."""
+    if value < 0:
+        raise ValueError(f"no real square root of {value}")
+    if places < 1:
+        raise ValueError(f"places must be >= 1, got {places}")
+    scale = 10**places
+    # isqrt(floor(4y)) = floor(2 sqrt(y)) for y = value * scale**2, and
+    # (floor(2 sqrt(y)) + 1) // 2 is sqrt(y) rounded half up.
+    twice = isqrt(4 * value.numerator * scale**2 // value.denominator)
+    return render_decimal(Fraction((twice + 1) // 2, scale), places)

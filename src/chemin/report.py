@@ -22,7 +22,7 @@ from .audit import Audit, near_tie_note
 from .banker import BANKER_TOTALS, Cell, DecisionTable
 from .coup import Matrix2x2, TwoByTwoGame
 from .five import StatTriple
-from .rational import render_decimal, render_exact
+from .rational import render_decimal, render_exact, render_sqrt
 from .simulate import SimConfig, SimResult
 
 #: Machine-readable label of the "Player stood" column.
@@ -116,9 +116,16 @@ def table_to_structured(table: DecisionTable, **meta) -> dict:
 
 
 def table_from_structured(obj: dict) -> DecisionTable:
-    if tuple(obj["columns"]) != COLUMN_LABELS:
-        raise ValueError(f"unexpected column labels: {obj['columns']!r}")
-    return DecisionTable.from_grid(obj["rows"])
+    """Parse table JSON back; like ``table_from_csv``, a malformed object
+    raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    columns, rows = obj.get("columns"), obj.get("rows")
+    if not isinstance(columns, list) or not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("expected a 'columns' list and a 'rows' list of lists")
+    if tuple(columns) != COLUMN_LABELS:
+        raise ValueError(f"unexpected column labels: {columns!r}")
+    return DecisionTable.from_grid(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +287,16 @@ def _audit_to_structured(audit: Audit, precision: int, **meta) -> dict:
     }
 
 
-def _rates(result: SimResult) -> list[tuple[str, Fraction, float]]:
-    """Each empirical rate as its exact count ratio, with its standard
-    error; the errors are irrational, so they stay display-only floats."""
+def _rates(result: SimResult) -> list[tuple[str, Fraction, Fraction]]:
+    """Each empirical rate as its exact count ratio, with the square of its
+    standard error: r(1 - r)/n for a rate r over n coups, and for E the
+    sample variance of the profit in {-1, 0, +1} over n."""
+    n = result.coups
     counts = (result.wins, result.ties, result.losses, result.wins - result.losses)
-    errors = (result.se_win, result.se_tie, result.se_loss, result.se_expectation)
-    return [(label, Fraction(count, result.coups), se) for label, count, se in zip("WTLE", counts, errors)]
+    rates = [Fraction(count, n) for count in counts]
+    variances = [rate * (1 - rate) / n for rate in rates[:3]]
+    variances.append((Fraction(result.wins + result.losses, n) - rates[3] ** 2) / n)
+    return list(zip("WTLE", rates, variances))
 
 
 def _simulation_to_markdown(run: Simulation, exact: bool, precision: int) -> str:
@@ -294,8 +305,8 @@ def _simulation_to_markdown(run: Simulation, exact: bool, precision: int) -> str
         f"coups={run.config.coups} seed={run.config.seed}",
         f"wins={result.wins} ties={result.ties} losses={result.losses}",
     ]
-    for label, rate, se in _rates(result):
-        lines.append(f"{label}={render_fraction(rate, exact, precision)} (se {se:.{precision}f})")
+    for label, rate, variance in _rates(result):
+        lines.append(f"{label}={render_fraction(rate, exact, precision)} (se {render_sqrt(variance, precision)})")
     return "\n".join(lines) + "\n"
 
 
@@ -306,8 +317,8 @@ def _simulation_to_csv(run: Simulation, precision: int) -> str:
         ["ties", result.ties, ""],
         ["losses", result.losses, ""],
     ]
-    for label, rate, se in _rates(result):
-        rows.append([label, render_decimal(rate, precision), f"{se:.{precision}f}"])
+    for label, rate, variance in _rates(result):
+        rows.append([label, render_decimal(rate, precision), render_sqrt(variance, precision)])
     return rows_to_csv(["stat", "value", "standard_error"], rows)
 
 
@@ -319,7 +330,7 @@ def _simulation_to_structured(run: Simulation, precision: int, **meta) -> dict:
         "ties": result.ties,
         "losses": result.losses,
         "empirical": {label: fraction_object(rate, precision) for label, rate, _ in rates},
-        "standard_errors": {label: f"{se:.{precision}f}" for label, _, se in rates},
+        "standard_errors": {label: render_sqrt(variance, precision) for label, _, variance in rates},
     }
 
 

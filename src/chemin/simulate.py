@@ -23,7 +23,6 @@ bit-identical results on any platform.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -75,7 +74,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Outcome tallies plus binomial-model summaries (floats, display only)."""
+    """Outcome tallies.  Rates and squared standard errors are exact
+    Fractions of these counts, formed where they are rendered or checked."""
 
     wins: int
     ties: int
@@ -84,44 +84,6 @@ class SimResult:
     @property
     def coups(self) -> int:
         return self.wins + self.ties + self.losses
-
-    @property
-    def empirical_win(self) -> float:
-        return self.wins / self.coups
-
-    @property
-    def empirical_tie(self) -> float:
-        return self.ties / self.coups
-
-    @property
-    def empirical_loss(self) -> float:
-        return self.losses / self.coups
-
-    @property
-    def empirical_expectation(self) -> float:
-        return (self.wins - self.losses) / self.coups
-
-    def rate_standard_error(self, probability: float) -> float:
-        """Binomial standard error of a rate estimated from this many coups."""
-        return math.sqrt(probability * (1 - probability) / self.coups)
-
-    @property
-    def se_win(self) -> float:
-        return self.rate_standard_error(self.empirical_win)
-
-    @property
-    def se_tie(self) -> float:
-        return self.rate_standard_error(self.empirical_tie)
-
-    @property
-    def se_loss(self) -> float:
-        return self.rate_standard_error(self.empirical_loss)
-
-    @property
-    def se_expectation(self) -> float:
-        """Standard error of the mean of the per-coup profit in {-1, 0, +1}."""
-        second_moment = (self.wins + self.losses) / self.coups
-        return math.sqrt((second_moment - self.empirical_expectation**2) / self.coups)
 
 
 def simulate(config: SimConfig) -> SimResult:

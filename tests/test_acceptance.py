@@ -259,14 +259,14 @@ def test_criterion_12_monte_carlo(million_coup_runs):
         exact_win, exact_tie, exact_expectation = coup_triple(action, assumed)
         exact_loss = 1 - exact_win - exact_tie
         observed = {
-            "W": (result.empirical_win, float(exact_win)),
-            "T": (result.empirical_tie, float(exact_tie)),
-            "L": (result.empirical_loss, float(exact_loss)),
+            "W": (result.wins, exact_win),
+            "T": (result.ties, exact_tie),
+            "L": (result.losses, exact_loss),
         }
-        for label, (empirical, exact) in observed.items():
-            standard_error = (exact * (1 - exact) / MILLION) ** 0.5
-            z = abs(empirical - exact) / standard_error
-            assert z < 4, (action, assumed, label, z)
+        for label, (count, exact) in observed.items():
+            # |z| < 4, squared and exact: (x/n - p)^2 < 4^2 p(1 - p)/n.
+            variance = exact * (1 - exact) / MILLION
+            assert (Fraction(count, MILLION) - exact) ** 2 < 4**2 * variance, (action, assumed, label, count)
     # Reproducibility at full size: same config, same bits.
     config, result = million_coup_runs[(STAND, NON_TIREUR)]
     assert simulate(config) == result

@@ -8,7 +8,9 @@ of output re-records them with
 
     PYTHONPATH=src python -m tests.test_golden_cli --record
 
-and names each changed case where the change is described.
+which prints the name of each case whose exit code or digest differs
+from the recording (a case added or dropped counts too); name each of
+them where the change is described.
 """
 
 from __future__ import annotations
@@ -110,5 +112,9 @@ def test_cli_output_matches_recording(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python -m tests.test_golden_cli --record")
-    GOLDEN.write_text(json.dumps({name: digest(argv) for name, argv in CASES.items()}, indent=1) + "\n")
+    fresh = {name: digest(argv) for name, argv in CASES.items()}
+    for name in dict.fromkeys([*fresh, *RECORDED]):
+        if fresh.get(name) != RECORDED.get(name):
+            print(f"changed: {name}")
+    GOLDEN.write_text(json.dumps(fresh, indent=1) + "\n")
     print(f"recorded {len(CASES)} cases in {GOLDEN}")

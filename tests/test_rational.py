@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chemin import as_rational, render_decimal, render_exact
+from chemin.rational import render_sqrt
 
 fractions = st.fractions(max_denominator=10**6)
 
@@ -96,6 +99,43 @@ class TestRenderDecimal:
         coarse = Fraction(render_decimal(value, places))
         fine = Fraction(render_decimal(value, places + 4))
         assert abs(coarse - fine) <= Fraction(1, 2 * 10**places)
+
+
+def decimal_sqrt(value: Fraction, places: int) -> str:
+    """Oracle: ``decimal``'s square root at 200 digits, rounded half up;
+    it shares no code with ``render_sqrt``'s integer square roots."""
+    with localcontext() as context:
+        context.prec = 200
+        root = (Decimal(value.numerator) / Decimal(value.denominator)).sqrt()
+        return f"{root.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP):f}"
+
+
+class TestRenderSqrt:
+    def test_matches_decimal_oracle(self):
+        rng = random.Random(25)
+        for _ in range(10_000):
+            value = Fraction(rng.randrange(10 ** rng.randint(1, 30)), rng.randrange(1, 10 ** rng.randint(1, 30)))
+            places = rng.randint(1, 40)
+            assert render_sqrt(value, places) == decimal_sqrt(value, places), (value, places)
+
+    def test_zero_and_exact_squares(self):
+        assert render_sqrt(Fraction(0), 3) == "0.000"
+        assert render_sqrt(Fraction(4), 2) == "2.00"
+        assert render_sqrt(Fraction(9, 4), 1) == "1.5"
+
+    def test_half_in_the_last_place_rounds_away_from_zero(self):
+        assert render_sqrt(Fraction(1, 16), 1) == "0.3" == render_decimal(Fraction(1, 4), 1)
+        assert render_sqrt(Fraction(1, 64), 2) == "0.13" == render_decimal(Fraction(1, 8), 2)
+
+    def test_standard_error_digits(self):
+        # sqrt(455 * 545 / 1000**3): the W error of 455 wins in 1000 coups.
+        assert render_sqrt(Fraction(455 * 545, 1000**3), 20) == "0.01574722197722506228"
+
+    def test_rejects_negative_value_and_nonpositive_places(self):
+        with pytest.raises(ValueError):
+            render_sqrt(Fraction(-1, 4), 2)
+        with pytest.raises(ValueError):
+            render_sqrt(Fraction(1, 4), 0)
 
 
 class TestRenderExact:

@@ -92,6 +92,23 @@ class TestTableSerialization:
         with pytest.raises(ValueError):
             report.table_from_structured(obj)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {},
+            {"columns": list(report.COLUMN_LABELS)},
+            {"rows": [[0] * 11] * 8},
+            {"columns": list(report.COLUMN_LABELS), "rows": 5},
+            {"columns": "0,1,2,3,4,5,6,7,8,9,stand", "rows": [[0] * 11] * 8},
+            {"columns": list(report.COLUMN_LABELS), "rows": [5] * 8},
+            [[0] * 11] * 8,
+        ],
+        ids=["empty", "no-rows", "no-columns", "rows-an-int", "columns-a-string", "rows-of-ints", "not-an-object"],
+    )
+    def test_structured_rejects_malformed_objects(self, bad):
+        with pytest.raises(ValueError):
+            report.table_from_structured(bad)
+
     def test_csv_rejects_missing_rows(self):
         good = report.table_to_csv(best_response_table(PlayerRule.NON_TIREUR))
         truncated = "\n".join(good.splitlines()[:-1]) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from chemin import (
     best_response_table,
     draw_card_value,
     mixed_best_response,
+    report,
     simulate,
 )
 from tests import oracles
@@ -137,12 +139,30 @@ class TestSimResult:
         result = simulate(standing_config(5_000, seed=7))
         assert result.coups == 5_000
 
-    def test_empirical_rates_and_errors(self):
-        result = SimResult(wins=450, ties=100, losses=450)
-        assert result.empirical_win == 0.45
-        assert result.empirical_expectation == 0.0
-        assert result.se_win == pytest.approx((0.45 * 0.55 / 1000) ** 0.5)
-        assert result.se_expectation == pytest.approx((0.9 / 1000) ** 0.5)
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "structured"])
+    def test_rates_and_errors_render_exactly(self, capsys, fmt):
+        # 450/100/450 of 1000: W = L = 0.45 with se sqrt(0.45 * 0.55 / 1000),
+        # T = 0.1 with se sqrt(0.1 * 0.9 / 1000), E = 0 with se sqrt(0.9 / 1000).
+        run = report.Simulation(standing_config(1000, seed=0), SimResult(wins=450, ties=100, losses=450))
+        report.emit(run, fmt, exact=False, precision=40, command="simulate")
+        out = capsys.readouterr().out
+        pad = "0" * 38
+        se_rate = "0.0157321327225522732048718027051990639771"
+        se_tie = "0.0094868329805051379959966806332981556012"
+        expected = {
+            "W": (f"0.45{pad}", se_rate),
+            "T": (f"0.1{pad}0", se_tie),
+            "L": (f"0.45{pad}", se_rate),
+            "E": (f"0.0{pad}0", f"0.03{pad}"),
+        }
+        if fmt == "markdown":
+            shown = {line[0]: tuple(line[2:-1].split(" (se ")) for line in out.splitlines()[2:]}
+        elif fmt == "csv":
+            shown = {row[0]: tuple(row[1:]) for row in (line.split(",") for line in out.splitlines()[4:])}
+        else:
+            obj = json.loads(out)
+            shown = {label: (obj["empirical"][label]["decimal"], obj["standard_errors"][label]) for label in "WTLE"}
+        assert shown == expected
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
@@ -193,18 +213,17 @@ class TestDistributionalSanity:
         rng = random.Random(6)
         n = 100_000
         hits = sum(bernoulli(rng, 1, 3) for _ in range(n))
-        # 1/3 +- 5 standard errors.
-        se = (Fraction(1, 3) * Fraction(2, 3) / n) ** 0.5
-        assert abs(hits / n - 1 / 3) < 5 * float(se)
+        # 1/3 +- 5 standard errors, squared: (x/n - p)^2 < 5^2 p(1 - p)/n.
+        p = Fraction(1, 3)
+        assert (Fraction(hits, n) - p) ** 2 < 5**2 * p * (1 - p) / n
 
 
 class TestAgreementWithExactEngine:
     def test_stand_scenario_within_four_standard_errors(self):
-        exact = Fraction(2152648, 4826809)
+        p = Fraction(2152648, 4826809)
         result = simulate(standing_config(200_000, seed=20))
-        p = float(exact)
-        se = (p * (1 - p) / result.coups) ** 0.5
-        assert abs(result.empirical_win - p) < 4 * se
+        n = result.coups
+        assert (Fraction(result.wins, n) - p) ** 2 < 4**2 * p * (1 - p) / n
 
     def test_mixed_policy_runs(self):
         policy = CoupPolicy(Fraction(1, 3), best_response_table(PlayerRule.TIREUR))
