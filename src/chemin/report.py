@@ -7,13 +7,13 @@ as a ``{"num": ..., "den": ...}`` pair, optionally alongside a decimal
 rendering.  Table CSV and table JSON both round-trip back into identical
 ``DecisionTable`` values.  ``emit`` prints any command's result in any
 of the three shapes; it is the one place a format name picks a renderer.
+``json`` and ``csv`` are imported where they are used, so a command
+loads only what its format needs.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -49,7 +49,17 @@ def fraction_object(value: Fraction, precision: Optional[int] = None) -> dict:
 
 
 def fraction_from_object(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
+    """Parse one structured value back.  Anything but a canonical pair,
+    integers in lowest terms with a positive ``den``, raises ValueError."""
+    if not isinstance(obj, dict) or not {"num", "den"} <= obj.keys():
+        raise ValueError("expected an object with 'num' and 'den'")
+    num, den = obj["num"], obj["den"]
+    if type(num) is not int or type(den) is not int or den <= 0:
+        raise ValueError(f"expected an integer 'num' and a positive integer 'den': {num!r}/{den!r}")
+    value = Fraction(num, den)
+    if value.numerator != num or value.denominator != den:
+        raise ValueError(f"not in lowest terms: {num}/{den}")
+    return value
 
 
 def _csv_value(value: Fraction, precision: int) -> tuple:
@@ -71,6 +81,8 @@ def rows_to_markdown(header: Sequence[str], rows: Sequence[Sequence[str]]) -> st
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -88,6 +100,8 @@ def table_to_csv(table: DecisionTable) -> str:
 
 def table_from_csv(text: str) -> DecisionTable:
     """Parse table CSV back; rejects anything but the exact emitted shape."""
+    import csv
+
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != TABLE_CSV_HEADER:
         raise ValueError(f"expected header {','.join(TABLE_CSV_HEADER)!r}")
@@ -359,5 +373,7 @@ def emit(result, fmt: str, exact: bool, precision: int, **meta) -> None:
     elif fmt == "csv":
         text = csv_text(result, precision)
     else:
+        import json
+
         text = json.dumps(structured(result, precision, **meta), indent=2) + "\n"
     sys.stdout.write(text)

@@ -21,9 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from chemin.cli import main
+from tests.runner import invoke
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -92,7 +91,7 @@ def cases() -> dict[str, list[str]]:
 
 
 def digest(argv: list[str]) -> dict:
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     return {"exit": result.exit_code, "stdout_sha256": hashlib.sha256(result.stdout_bytes).hexdigest()}
 
 

@@ -32,6 +32,24 @@ class TestRenderFraction:
         obj = report.fraction_object(Fraction(175, 23153), precision=6)
         assert obj == {"num": 175, "den": 23153, "decimal": "0.007558"}
         assert report.fraction_from_object(obj) == Fraction(175, 23153)
+        assert report.fraction_from_object({"num": -3, "den": 1}) == -3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {},
+            {"num": 1, "den": 0},
+            {"num": "1", "den": 2},
+            {"num": 2, "den": 4},
+            {"num": 1, "den": -2},
+            {"num": True, "den": 2},
+            [1, 2],
+        ],
+        ids=["missing-keys", "zero-den", "string-num", "non-canonical", "negative-den", "bool-num", "not-an-object"],
+    )
+    def test_fraction_from_object_rejects_malformed_pairs(self, bad):
+        with pytest.raises(ValueError):
+            report.fraction_from_object(bad)
 
 
 class TestTableSerialization:
