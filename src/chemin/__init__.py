@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .audit import bertrand_report
 from .banker import (
     BADOUREAU,
-    BANKER_TOTALS,
     COLUMNS,
     CORRECT,
     DORMOY,
@@ -20,7 +19,6 @@ from .banker import (
     VARIANTS,
     Cell,
     DecisionTable,
-    HistoricalVariant,
     PlayerRule,
     banker_draw_ev,
     banker_stand_ev,
@@ -36,8 +34,6 @@ from .cards import (
 )
 from .coup import (
     CoupPolicy,
-    Matrix2x2,
-    TwoByTwoGame,
     bar_matrix,
     coup_stats,
     five_matrix,
@@ -54,7 +50,6 @@ from .simulate import SimConfig, SimResult, bernoulli, draw_card_value, simulate
 
 __all__ = [
     "BADOUREAU",
-    "BANKER_TOTALS",
     "CARD_VALUES",
     "COLUMNS",
     "CORRECT",
@@ -66,13 +61,10 @@ __all__ = [
     "CoupPolicy",
     "DecisionTable",
     "FiveAction",
-    "HistoricalVariant",
-    "Matrix2x2",
     "PlayerRule",
     "SimConfig",
     "SimResult",
     "StatTriple",
-    "TwoByTwoGame",
     "as_rational",
     "banker_draw_ev",
     "banker_stand_ev",

@@ -11,8 +11,11 @@ fractions, the forms the historical figures are checked in, whatever
 
 The parser needs nothing beyond the standard library.  ``COMMANDS`` is
 the one table of subcommands and their options; the same table parses
-``--name value`` and ``--name=value``, validates each value and renders
-``chemin --help`` and ``chemin <command> --help``.
+``--name value`` and ``--name=value``, validates and parses each value,
+a probability too, whether or not the other options use it, and renders
+``chemin --help`` and ``chemin <command> --help``.  A command only
+computes: it returns ``(result, meta)``, and ``_run`` hands both to
+``report.emit``, the one call that prints.
 
 Exit codes: 0 on success, 2 on argument errors (the message goes to
 stderr and stdout stays empty), 1 on internal failures.
@@ -25,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .audit import AUDITS
+from .audit import AUDITS, Audit
 from .banker import (
     VARIANTS,
     DecisionTable,
@@ -34,8 +37,8 @@ from .banker import (
     historical_table,
     mixed_best_response,
 )
-from .coup import CoupPolicy, bar_matrix, coup_stats, five_matrix, solve_2x2
-from .five import FiveAction, five_stats
+from .coup import CoupPolicy, Matrix2x2, TwoByTwoGame, bar_matrix, coup_stats, five_matrix, solve_2x2
+from .five import FiveAction, StatTriple, five_stats
 from .rational import as_rational
 from . import __version__, report
 from .simulate import SimConfig, simulate as run_simulation
@@ -83,24 +86,17 @@ def _parse_probability(text: str, option_name: str) -> Fraction:
     return value
 
 
-def _banker_table(
-    assume: str, pi_text: str, variant_name: str, pi_option: str
-) -> tuple[DecisionTable, dict]:
+def _banker_table(assume: str, pi: Fraction, variant_name: str) -> tuple[DecisionTable, dict]:
     """Resolve Banker's table from an assumed rule (or mixture) and variant."""
-    if assume == "mix":
-        if variant_name != "correct":
-            raise UsageError("--variant applies only to pure assumed rules")
-        pi = _parse_probability(pi_text, pi_option)
-        table = mixed_best_response(pi)
-        meta = {"assume": "mix", "assume_draw_probability": str(pi)}
-    else:
-        rule = RULE_BY_NAME[assume]
-        table = historical_table(VARIANTS[variant_name], rule)
-        meta = {"assume": assume, "variant": variant_name}
-    return table, meta
+    if assume != "mix":
+        table = historical_table(VARIANTS[variant_name], RULE_BY_NAME[assume])
+        return table, {"assume": assume, "variant": variant_name}
+    if variant_name != "correct":
+        raise UsageError("--variant applies only to pure assumed rules")
+    return mixed_best_response(pi), {"assume": "mix", "assume_draw_probability": str(pi)}
 
 
-def tables(strategy: str, pi_text: str, variant: str, fmt: str, exact: bool, precision: int) -> None:
+def tables(strategy: str, pi: Fraction, variant: str) -> tuple[report.FlaggedTable, dict]:
     """Print a Banker stand/draw table (rows: totals 0-7; columns: Player's
     third card 0-9 then "stand")."""
     if strategy == "dormoy-average":
@@ -108,84 +104,58 @@ def tables(strategy: str, pi_text: str, variant: str, fmt: str, exact: bool, pre
             raise UsageError("--variant applies only to pure strategies")
         table, meta = dormoy_unweighted_response(), {}
     else:
-        table, chosen = _banker_table(strategy, pi_text, variant, "--pi")
-        meta = {"variant": variant} if strategy != "mix" else {"draw_probability": chosen["assume_draw_probability"]}
+        table, _ = _banker_table(strategy, pi, variant)
+        meta = {"variant": variant} if strategy != "mix" else {"draw_probability": str(pi)}
     near_ties = sorted(VARIANTS[variant].near_ties_vs_non_tireur) if strategy == "non-tireur" else []
-    report.emit(
-        report.FlaggedTable(table, near_ties), fmt, exact, precision,
-        command="tables", strategy=strategy, **meta,
-    )
+    return report.FlaggedTable(table, near_ties), {"strategy": strategy, **meta}
 
 
-def five(action: str, assume: str, pi_text: str, variant: str, fmt: str, exact: bool, precision: int) -> None:
+def five(action: str, assume: str, pi: Fraction, variant: str) -> tuple[StatTriple, dict]:
     """Player's W/T/E when holding a two-card 5 (Banker non-natural)."""
-    table, meta = _banker_table(assume, pi_text, variant, "--pi")
-    stats = five_stats(ACTION_BY_NAME[action], table)
-    report.emit(stats, fmt, exact, precision, command="five", action=action, **meta)
+    table, meta = _banker_table(assume, pi, variant)
+    return five_stats(ACTION_BY_NAME[action], table), {"action": action, **meta}
 
 
 def coup(
-    action: str,
-    pi_text: str,
-    assume: str,
-    assume_pi_text: str,
-    variant: str,
-    fmt: str,
-    exact: bool,
-    precision: int,
-) -> None:
+    action: str, pi: Fraction, assume: str, assume_pi: Fraction, variant: str
+) -> tuple[StatTriple, dict]:
     """Whole-coup W/T/E, naturals included, nothing conditioned away."""
-    policy, meta = _coup_policy(action, pi_text, assume, assume_pi_text, variant)
-    report.emit(coup_stats(policy), fmt, exact, precision, command="coup", **meta)
+    policy, meta = _coup_policy(action, pi, assume, assume_pi, variant)
+    return coup_stats(policy), meta
 
 
 def _coup_policy(
-    action: str, pi_text: str, assume: str, assume_pi_text: str, variant: str
+    action: str, pi: Fraction, assume: str, assume_pi: Fraction, variant: str
 ) -> tuple[CoupPolicy, dict]:
-    table, table_meta = _banker_table(assume, assume_pi_text, variant, "--assume-pi")
-    if action == "mix":
-        draw_probability = _parse_probability(pi_text, "--pi")
-        action_meta = {"action": "mix", "draw_probability": str(draw_probability)}
-    else:
-        draw_probability = Fraction(int(ACTION_BY_NAME[action]))
-        action_meta = {"action": action}
-    return CoupPolicy(draw_probability, table), {**action_meta, **table_meta}
+    table, table_meta = _banker_table(assume, assume_pi, variant)
+    if action != "mix":
+        return CoupPolicy(Fraction(int(ACTION_BY_NAME[action])), table), {"action": action, **table_meta}
+    return CoupPolicy(pi, table), {"action": "mix", "draw_probability": str(pi), **table_meta}
 
 
-def bar_matrix_command(fmt: str, exact: bool, precision: int) -> None:
+def bar_matrix_command() -> tuple[Matrix2x2, dict]:
     """The 2x2 whole-coup payoff matrix (Player expectation per coup)."""
-    report.emit(bar_matrix(), fmt, exact, precision, command="bar-matrix")
+    return bar_matrix(), {}
 
 
-def solve(game: str, fmt: str, exact: bool, precision: int) -> None:
+def solve(game: str) -> tuple[TwoByTwoGame, dict]:
     """Solve one of the two 2x2 games exactly (saddle or mixed)."""
     matrix = five_matrix() if game == "five" else bar_matrix()
-    report.emit(solve_2x2(matrix), fmt, exact, precision, command="solve", game=game)
+    return solve_2x2(matrix), {"game": game}
 
 
-def compare(against: str, fmt: str, exact: bool, precision: int) -> None:
+def compare(against: str) -> tuple[Audit, dict]:
     """Audit a historical analysis against the exact recomputation."""
-    report.emit(AUDITS[against](), fmt, exact, precision, command="compare", against=against)
+    return AUDITS[against](), {"against": against}
 
 
 def simulate(
-    coups: int,
-    seed: int,
-    action: str,
-    pi_text: str,
-    assume: str,
-    assume_pi_text: str,
-    fmt: str,
-    exact: bool,
-    precision: int,
-) -> None:
+    coups: int, seed: int, action: str, pi: Fraction, assume: str, assume_pi: Fraction
+) -> tuple[report.Simulation, dict]:
     """Monte Carlo playout of full coups (seeded, reproducible)."""
-    policy, meta = _coup_policy(action, pi_text, assume, assume_pi_text, "correct")
+    policy, meta = _coup_policy(action, pi, assume, assume_pi, "correct")
     config = SimConfig(coups=coups, seed=seed, policy=policy)
-    report.emit(
-        report.Simulation(config, run_simulation(config)), fmt, exact, precision,
-        command="simulate", coups=coups, seed=seed, **meta,
-    )
+    return report.Simulation(config, run_simulation(config)), {"coups": coups, "seed": seed, **meta}
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +166,26 @@ class Option(NamedTuple):
     """One ``--flag``: a switch when its default is False, otherwise it
     takes a value, which must be one of ``choices``, an integer within
     ``bounds`` (inclusive; None for no upper bound), or, with neither,
-    text the command parses itself.  ``dest`` names the parameter."""
+    a probability.  ``dest``, the parameter's name, is the flag without
+    its dashes and with ``-`` read as ``_``."""
 
     flag: str
-    dest: str
     default: object
     help: str
     choices: tuple[str, ...] = ()
     bounds: Optional[tuple[int, Optional[int]]] = None
 
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
 
 class Command(NamedTuple):
-    run: Callable[..., None]
+    run: Callable[..., tuple]
     options: tuple[Option, ...]
 
 
-def _command(run: Callable[..., None], *options: Option) -> Command:
+def _command(run: Callable[..., tuple], *options: Option) -> Command:
     """A subcommand taking ``options`` and then the output options."""
     return Command(run, (*options, *OUTPUT_OPTIONS))
 
@@ -221,59 +195,59 @@ def _range_text(bounds: tuple[int, Optional[int]]) -> str:
     return f"x>={low}" if high is None else f"{low}<=x<={high}"
 
 
-def _pi(flag: str, dest: str, used_with: str) -> Option:
-    return Option(flag, dest, "1/2", f"Draw-at-5 probability for {used_with}.")
+def _pi(flag: str, used_with: str) -> Option:
+    return Option(flag, Fraction(1, 2), f"Draw-at-5 probability for {used_with}.")
 
 
 RULES = ("non-tireur", "tireur", "mix")
-VARIANT = Option("--variant", "variant", "correct", "Historical variant of Banker's table.", tuple(sorted(VARIANTS)))
+VARIANT = Option("--variant", "correct", "Historical variant of Banker's table.", tuple(sorted(VARIANTS)))
 OUTPUT_OPTIONS = (
-    Option("--format", "fmt", "markdown", "Output shape.", ("markdown", "csv", "structured")),
-    Option("--exact", "exact", False, "Print canonical num/den fractions instead of decimals."),
-    Option("--precision", "precision", 6, "Digits in decimal renderings.", bounds=(1, MAX_PRECISION)),
+    Option("--format", "markdown", "Output shape.", ("markdown", "csv", "structured")),
+    Option("--exact", False, "Print canonical num/den fractions instead of decimals."),
+    Option("--precision", 6, "Digits in decimal renderings.", bounds=(1, MAX_PRECISION)),
 )
 
 #: Subcommand name -> its function and options, in help order.
 COMMANDS = {
     "tables": _command(
         tables,
-        Option("--strategy", "strategy", "non-tireur", "Player rule the table best-responds to.",
+        Option("--strategy", "non-tireur", "Player rule the table best-responds to.",
                ("non-tireur", "tireur", "mix", "dormoy-average")),
-        _pi("--pi", "pi_text", "--strategy mix"),
+        _pi("--pi", "--strategy mix"),
         VARIANT._replace(help="Historical table variant (pure strategies only)."),
     ),
     "five": _command(
         five,
-        Option("--action", "action", "stand", "Player's decision on his two-card 5.", ("stand", "draw")),
-        Option("--assume", "assume", "non-tireur", "Rule Banker assumes and best-responds to.", RULES),
-        _pi("--pi", "pi_text", "--assume mix"),
+        Option("--action", "stand", "Player's decision on his two-card 5.", ("stand", "draw")),
+        Option("--assume", "non-tireur", "Rule Banker assumes and best-responds to.", RULES),
+        _pi("--pi", "--assume mix"),
         VARIANT,
     ),
     "coup": _command(
         coup,
-        Option("--action", "action", "stand", "Player's behavior on a two-card 5.", ("stand", "draw", "mix")),
-        _pi("--pi", "pi_text", "--action mix"),
-        Option("--assume", "assume", "non-tireur", "Rule Banker assumes and best-responds to.", RULES),
-        _pi("--assume-pi", "assume_pi_text", "--assume mix"),
+        Option("--action", "stand", "Player's behavior on a two-card 5.", ("stand", "draw", "mix")),
+        _pi("--pi", "--action mix"),
+        Option("--assume", "non-tireur", "Rule Banker assumes and best-responds to.", RULES),
+        _pi("--assume-pi", "--assume mix"),
         VARIANT,
     ),
     "bar-matrix": _command(bar_matrix_command),
     "solve": _command(
         solve,
-        Option("--game", "game", "bar", "five: conditional-on-5 payoffs; bar: whole-coup payoffs.", ("five", "bar")),
+        Option("--game", "bar", "five: conditional-on-5 payoffs; bar: whole-coup payoffs.", ("five", "bar")),
     ),
     "compare": _command(
         compare,
-        Option("--against", "against", "bertrand", "Which historical analysis to audit.", tuple(AUDITS)),
+        Option("--against", "bertrand", "Which historical analysis to audit.", tuple(AUDITS)),
     ),
     "simulate": _command(
         simulate,
-        Option("--coups", "coups", 100_000, "Coups to play.", bounds=(1, MAX_COUPS)),
-        Option("--seed", "seed", 0, "Seed of the card stream.", bounds=(0, None)),
-        Option("--action", "action", "stand", "Player's behavior on a two-card 5.", ("stand", "draw", "mix")),
-        _pi("--pi", "pi_text", "--action mix"),
-        Option("--assume", "assume", "non-tireur", "Rule Banker assumes and best-responds to.", RULES),
-        _pi("--assume-pi", "assume_pi_text", "--assume mix"),
+        Option("--coups", 100_000, "Coups to play.", bounds=(1, MAX_COUPS)),
+        Option("--seed", 0, "Seed of the card stream.", bounds=(0, None)),
+        Option("--action", "stand", "Player's behavior on a two-card 5.", ("stand", "draw", "mix")),
+        _pi("--pi", "--action mix"),
+        Option("--assume", "non-tireur", "Rule Banker assumes and best-responds to.", RULES),
+        _pi("--assume-pi", "--assume mix"),
     ),
 }
 
@@ -324,12 +298,13 @@ def _help(prog: str, name: Optional[str] = None) -> str:
 
 
 def _value(option: Option, text: str):
-    """``text`` checked against the option's choices or integer range."""
+    """``text`` checked against the option's choices or integer range, or
+    parsed as a probability."""
     if option.choices and text not in option.choices:
         allowed = ", ".join(map(repr, option.choices))
         raise UsageError(f"Invalid value for '{option.flag}': {text!r} is not one of {allowed}.")
     if option.bounds is None:
-        return text
+        return text if option.choices else _parse_probability(text, option.flag)
     try:
         value = int(text)
     except ValueError:
@@ -380,7 +355,9 @@ def _run(prog: str, argv: list[str]) -> None:
         if values is None:
             sys.stdout.write(_help(prog, name))
         else:
-            COMMANDS[name].run(**values)
+            fmt, exact, precision = values.pop("format"), values.pop("exact"), values.pop("precision")
+            result, meta = COMMANDS[name].run(**values)
+            report.emit(result, fmt, exact, precision, command=name, **meta)
 
 
 def main(args: Optional[list[str]] = None, prog_name: Optional[str] = None, standalone_mode: bool = True):

@@ -121,9 +121,8 @@ def table_to_markdown(table: DecisionTable) -> str:
     return rows_to_markdown(TABLE_CSV_HEADER, [[total, *row] for total, row in enumerate(table.to_grid())])
 
 
-def table_to_structured(table: DecisionTable, **meta) -> dict:
+def table_to_structured(table: DecisionTable) -> dict:
     return {
-        **meta,
         "columns": list(COLUMN_LABELS),
         "rows": table.to_grid(),
     }
@@ -163,12 +162,9 @@ def stats_to_csv(stats: StatTriple, precision: int = 6) -> str:
     return rows_to_csv(("stat", "num", "den", "decimal"), rows)
 
 
-def stats_to_structured(stats: StatTriple, precision: int = 6, **meta) -> dict:
+def stats_to_structured(stats: StatTriple, precision: int = 6) -> dict:
     names = ("win", "tie", "expectation", "loss", "chances")
-    return {
-        **meta,
-        **{name: fraction_object(value, precision) for name, value in zip(names, _stat_values(stats))},
-    }
+    return {name: fraction_object(value, precision) for name, value in zip(names, _stat_values(stats))}
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +194,8 @@ def matrix_to_csv(matrix: Matrix2x2, precision: int = 6) -> str:
     return rows_to_csv(("row", "col", "num", "den", "decimal"), rows)
 
 
-def matrix_to_structured(matrix: Matrix2x2, precision: int = 6, **meta) -> dict:
+def matrix_to_structured(matrix: Matrix2x2, precision: int = 6) -> dict:
     return {
-        **meta,
         "row_labels": list(ROW_LABELS),
         "col_labels": list(COL_LABELS),
         "entries": [[fraction_object(value, precision) for value in row] for row in matrix],
@@ -233,9 +228,8 @@ def solution_to_csv(solution: TwoByTwoGame, precision: int = 6) -> str:
     return rows_to_csv(("field", "num", "den", "decimal"), rows)
 
 
-def solution_to_structured(solution: TwoByTwoGame, precision: int = 6, **meta) -> dict:
+def solution_to_structured(solution: TwoByTwoGame, precision: int = 6) -> dict:
     return {
-        **meta,
         "kind": solution.kind,
         "value": fraction_object(solution.value, precision),
         "row_labels": list(ROW_LABELS),
@@ -273,8 +267,8 @@ def _flagged_to_csv(flagged: FlaggedTable, precision: int) -> str:
     return table_to_csv(flagged.table)
 
 
-def _flagged_to_structured(flagged: FlaggedTable, precision: int, **meta) -> dict:
-    structured = table_to_structured(flagged.table, **meta)
+def _flagged_to_structured(flagged: FlaggedTable, precision: int) -> dict:
+    structured = table_to_structured(flagged.table)
     if flagged.near_ties:
         structured["near_ties"] = [{"total": total, "third_card": seen} for total, seen in flagged.near_ties]
     return structured
@@ -292,9 +286,8 @@ def _audit_to_csv(audit: Audit, precision: int) -> str:
     return rows_to_csv(audit.header, audit.rows)
 
 
-def _audit_to_structured(audit: Audit, precision: int, **meta) -> dict:
+def _audit_to_structured(audit: Audit, precision: int) -> dict:
     return {
-        **meta,
         "columns": list(audit.header),
         "rows": [dict(zip(audit.header, row)) for row in audit.rows],
         "notes": audit.notes,
@@ -336,10 +329,9 @@ def _simulation_to_csv(run: Simulation, precision: int) -> str:
     return rows_to_csv(["stat", "value", "standard_error"], rows)
 
 
-def _simulation_to_structured(run: Simulation, precision: int, **meta) -> dict:
+def _simulation_to_structured(run: Simulation, precision: int) -> dict:
     result, rates = run.result, _rates(run.result)
     return {
-        **meta,
         "wins": result.wins,
         "ties": result.ties,
         "losses": result.losses,
@@ -375,5 +367,5 @@ def emit(result, fmt: str, exact: bool, precision: int, **meta) -> None:
     else:
         import json
 
-        text = json.dumps(structured(result, precision, **meta), indent=2) + "\n"
+        text = json.dumps({**meta, **structured(result, precision)}, indent=2) + "\n"
     sys.stdout.write(text)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -264,6 +265,15 @@ class TestParser:
         assert result.stdout_bytes == b""
         assert "\nError: " in result.stderr and message in result.stderr
 
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_option_names_are_the_command_parameters(self, name):
+        # Each option's value is passed as the parameter its flag names,
+        # so a renamed option or parameter fails here, not at run time.
+        command = cli.COMMANDS[name]
+        own = len(command.options) - len(cli.OUTPUT_OPTIONS)
+        assert command.options[own:] == cli.OUTPUT_OPTIONS
+        assert [option.dest for option in command.options[:own]] == list(inspect.signature(command.run).parameters)
+
     def test_usage_error_names_the_command(self):
         assert invoke(["five", "--bogus"]).stderr.startswith(
             "Usage: chemin five [OPTIONS]\nTry 'chemin five --help' for help.\n"
@@ -291,6 +301,25 @@ class TestArgumentErrors:
     def test_usage_errors_exit_2(self, args):
         result = invoke(args)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tables", "--strategy", "tireur", "--pi", "7/4"],
+            ["tables", "--strategy", "dormoy-average", "--pi", "bogus"],
+            ["five", "--assume", "tireur", "--pi", "bogus"],
+            ["coup", "--action", "stand", "--pi", "3/2"],
+            ["coup", "--assume", "tireur", "--assume-pi", "x"],
+            ["simulate", "--coups", "10", "--action", "draw", "--pi", "2"],
+        ],
+    )
+    def test_unused_bad_probability_exits_2(self, args):
+        # The other options leave this probability unused; it is still
+        # checked, so a typo in it cannot pass silently.
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert f"Error: {args[-2]} must be" in result.stderr
 
     def test_coups_above_bound_rejected_before_simulating(self, monkeypatch):
         def refuse(config):

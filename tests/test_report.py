@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemin import (
     PlayerRule,
@@ -17,6 +20,36 @@ from chemin import (
 from chemin.five import StatTriple
 from chemin import report
 from tests.conftest import decision_tables
+
+
+def emitted(result, fmt: str, **meta) -> str:
+    """What ``report.emit`` prints for ``result`` in ``fmt``, in decimals at 6 digits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        report.emit(result, fmt, False, 6, **meta)
+    return out.getvalue()
+
+
+def fraction_objects(node) -> list:
+    """Every ``{"num", "den"}`` object in a parsed JSON value, in document order."""
+    if isinstance(node, dict):
+        if {"num", "den"} <= node.keys():
+            return [node]
+        return [found for value in node.values() for found in fraction_objects(value)]
+    if isinstance(node, list):
+        return [found for value in node for found in fraction_objects(value)]
+    return []
+
+
+#: Exact values with large numerators and denominators, of either sign.
+values = st.fractions(min_value=-2, max_value=2, max_denominator=10**12)
+
+
+@st.composite
+def stat_triples(draw) -> StatTriple:
+    win = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**12))
+    tie = draw(st.fractions(min_value=0, max_value=1 - win, max_denominator=10**12))
+    return StatTriple(win, tie, 2 * win + tie - 1)
 
 
 class TestRenderFraction:
@@ -72,8 +105,16 @@ class TestTableSerialization:
     @settings(max_examples=25, deadline=None)
     @given(decision_tables())
     def test_structured_round_trip(self, table):
-        obj = report.table_to_structured(table, command="tables")
-        assert report.table_from_structured(json.loads(json.dumps(obj))) == table
+        text = emitted(report.FlaggedTable(table, []), "structured", command="tables", strategy="mix")
+        obj = json.loads(text)
+        assert next(iter(obj)) == "command"
+        assert report.table_from_structured(obj) == table
+
+    @settings(max_examples=25, deadline=None)
+    @given(decision_tables())
+    def test_emitted_csv_round_trip(self, table):
+        text = emitted(report.FlaggedTable(table, []), "csv", command="tables", strategy="mix")
+        assert report.table_from_csv(text) == table
 
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
@@ -155,8 +196,7 @@ class TestStatsSerialization:
         assert [line.split(",")[0] for line in lines[1:]] == ["W", "T", "E", "L", "C"]
 
     def test_structured_fields(self):
-        obj = report.stats_to_structured(self.STATS, command="five")
-        assert obj["command"] == "five"
+        obj = report.stats_to_structured(self.STATS)
         assert obj["win"] == {"num": 10176, "den": 23153, "decimal": "0.439511"}
         # 10001/23153 in canonical form.
         assert report.fraction_from_object(obj["loss"]) == Fraction(23153 - 10176 - 2976, 23153)
@@ -175,7 +215,7 @@ class TestMatrixAndSolutionSerialization:
 
     def test_solution_structured(self):
         game = solve_2x2(five_matrix())
-        obj = report.solution_to_structured(game, command="solve", game="five")
+        obj = report.solution_to_structured(game)
         assert obj["kind"] == "mixed"
         assert report.fraction_from_object(obj["value"]) == game.value
         assert [report.fraction_from_object(w) for w in obj["row_mix"]] == list(game.row_mix)
@@ -184,3 +224,22 @@ class TestMatrixAndSolutionSerialization:
         lines = report.solution_to_csv(solve_2x2(five_matrix())).splitlines()
         assert lines[0] == "field,num,den,decimal"
         assert lines[1].startswith("value,341,22194,")
+
+
+class TestEmittedFractions:
+    """Every exact value ``emit`` writes as structured JSON parses back to itself."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(stat_triples())
+    def test_stat_triple(self, stats):
+        obj = json.loads(emitted(stats, "structured", command="five"))
+        expected = [stats.win, stats.tie, stats.expectation, stats.loss, stats.chances]
+        assert [report.fraction_from_object(found) for found in fraction_objects(obj)] == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.tuples(st.tuples(values, values), st.tuples(values, values)))
+    def test_solution(self, payoff):
+        game = solve_2x2(payoff)
+        obj = json.loads(emitted(game, "structured", command="solve", game="five"))
+        expected = [game.value, *game.row_mix, *game.col_mix, *(value for row in game.payoff for value in row)]
+        assert [report.fraction_from_object(found) for found in fraction_objects(obj)] == expected
